@@ -249,27 +249,19 @@ type Cluster struct {
 	// recovering maps request ID → crash time for requests awaiting
 	// re-placement after their GPU failed (feeds RecoveryLatency).
 	recovering map[int64]time.Duration
-	// lastToken maps request ID → previous token time, feeding the
-	// inter-token latency histogram.
-	lastToken map[int64]time.Duration
 	// tenants accumulates per-tenant outcomes for tagged requests
 	// (Tenant != 0); sorted into Result.Tenants at finalize.
 	tenants map[int64]*TenantOutcome
 }
 
 // noteToken records the gap to the request's previous token. Tokens
-// carry their simulated emission time, so gaps measure exactly what a
-// streaming user would see — including prefill head-of-line stalls and
-// migration handoffs between pools.
+// carry the simulated time since that token, so gaps measure exactly
+// what a streaming user would see — including prefill head-of-line
+// stalls and migration handoffs between pools.
 func (c *Cluster) noteToken(tok core.Token) {
-	if last, ok := c.lastToken[tok.RequestID]; ok && tok.At > last {
-		c.res.InterTokenLatency.AddDuration(tok.At - last)
+	if tok.Gap > 0 {
+		c.res.InterTokenLatency.AddDuration(tok.Gap)
 	}
-	if tok.EOS {
-		delete(c.lastToken, tok.RequestID)
-		return
-	}
-	c.lastToken[tok.RequestID] = tok.At
 }
 
 type runner struct {
@@ -287,6 +279,19 @@ type runner struct {
 	crashed      bool
 	crashPending *FaultEvent
 	stalledUntil time.Duration
+
+	// inflight is the result of the step in flight (set while
+	// stepInFlight), and done its completion event, bound once so that
+	// scheduling a step's end allocates nothing.
+	inflight core.StepResult
+	done     func()
+}
+
+// newRunner wraps a GPU's engine for the event loop.
+func (c *Cluster) newRunner(g *sched.GPU, eng *core.Engine, index int) *runner {
+	r := &runner{gpu: g, eng: eng, index: index, role: g.Role, cluster: c}
+	r.done = r.complete
+	return r
 }
 
 // New builds a cluster of cfg.NumGPUs engines. UUIDs are "gpu-00",
@@ -313,7 +318,6 @@ func New(cfg Config) *Cluster {
 		clock:      sim.NewVirtualClock(),
 		byGPU:      make(map[*sched.GPU]*runner),
 		recovering: make(map[int64]time.Duration),
-		lastToken:  make(map[int64]time.Duration),
 		tenants:    make(map[int64]*TenantOutcome),
 	}
 	var gpus []*sched.GPU
@@ -327,7 +331,7 @@ func New(cfg Config) *Cluster {
 		eng := core.NewEngine(ec)
 		g := &sched.GPU{UUID: fmt.Sprintf("gpu-%02d", i), Engine: eng, Role: ec.Role}
 		gpus = append(gpus, g)
-		r := &runner{gpu: g, eng: eng, index: i, role: ec.Role, cluster: c}
+		r := c.newRunner(g, eng, i)
 		c.gpus = append(c.gpus, r)
 		c.byGPU[g] = r
 	}
@@ -581,17 +585,21 @@ func (r *runner) kick() {
 	// still being iterated. The in-flight flag makes the cascaded kick a
 	// no-op; complete() kicks again when this invocation ends.
 	r.stepInFlight = true
+	r.inflight = res //punica:retains-copy stepInFlight blocks re-entry into Step until complete() runs
 	r.handleEvicted(res.Evicted)
 	r.cluster.res.BatchSeries[r.index].Add(now, float64(res.BatchSize))
-	r.cluster.clock.Schedule(res.EndsAt, func() { r.complete(res) }) //punica:retains-copy stepInFlight blocks re-entry into Step until complete() runs
+	r.cluster.clock.Schedule(res.EndsAt, r.done)
 }
 
-// complete finishes a step: records metrics, re-schedules evictions,
-// drains the global queue into freed capacity, and immediately starts the
-// next step.
-func (r *runner) complete(res core.StepResult) {
+// complete finishes the in-flight step: records metrics, re-schedules
+// evictions, drains the global queue into freed capacity, and
+// immediately starts the next step.
+func (r *runner) complete() {
 	c := r.cluster
 	now := c.clock.Now()
+	// A copy: once stepInFlight clears, a cascade below may kick this
+	// runner again and overwrite inflight.
+	res := r.inflight
 	r.stepInFlight = false
 
 	c.res.ProcessedSeries.Add(now, float64(res.TokensGenerated+res.PrefillTokens))

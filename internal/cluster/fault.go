@@ -279,7 +279,7 @@ func (c *Cluster) attachReplacement(role core.Role) {
 	eng := core.NewEngine(ec)
 	idx := len(c.gpus)
 	g := &sched.GPU{UUID: fmt.Sprintf("gpu-%02d", idx), Engine: eng, Role: role}
-	r := &runner{gpu: g, eng: eng, index: idx, role: role, cluster: c}
+	r := c.newRunner(g, eng, idx)
 	c.gpus = append(c.gpus, r)
 	c.byGPU[g] = r
 	c.res.BatchSeries = append(c.res.BatchSeries, metrics.TimeSeries{})

@@ -28,7 +28,7 @@ var ErrRoleMismatch = errors.New("core: decode-role engine accepts only KV impor
 // "GPU runs the Prefill steps and Decode steps continuously" (§5).
 type Engine struct {
 	cfg   Config
-	costs layer.Costs
+	costs layer.Compiled
 	kv    *kvcache.Pool
 	store *lora.Store
 	tiers *lora.TieredStore // nil unless cfg.Tiers configured
@@ -131,9 +131,12 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.System.MaxPrefillPerStep <= 0 {
 		cfg.System.MaxPrefillPerStep = 1
 	}
+	// The config is final here: compile its cost model once, and price
+	// every step through the constants.
+	costs := cfg.costs()
 	e := &Engine{
 		cfg:   cfg,
-		costs: cfg.costs(),
+		costs: costs.Compile(),
 		kv:    kvcache.NewPool(cfg.kvCapacity(), cfg.kvBytesPerToken(), cfg.pageSize()),
 	}
 	if cfg.System.LoRA != LoRANone {
@@ -712,17 +715,20 @@ func (e *Engine) buildInvocation(prefills, decodes []*Request) layer.Invocation 
 		addTokens(r.Model, 1)
 	}
 	e.segModels, e.segCounts = segModels, segCounts
-	maxRank := 0
-	for _, m := range segModels {
-		if r := e.reg.Ensure(m).Rank; r > maxRank {
-			maxRank = r
-		}
-	}
 	// SGMV pads every segment to the widest rank in the batch, so a
 	// mixed-rank invocation runs at the largest adapter's cost. Uniform
-	// fleets (the paper's setup) see exactly cfg.Rank here.
-	if maxRank > 0 {
-		inv.LoRARank = maxRank
+	// fleets (the paper's setup) register every adapter at cfg.Rank, so
+	// their invocations keep it without a registry lookup per segment.
+	if e.cfg.AdapterRank != nil {
+		maxRank := 0
+		for _, m := range segModels {
+			if r := e.reg.Ensure(m).Rank; r > maxRank {
+				maxRank = r
+			}
+		}
+		if maxRank > 0 {
+			inv.LoRARank = maxRank
+		}
 	}
 	bounds := append(e.segBounds[:0], 0)
 	for _, n := range segCounts {
@@ -751,6 +757,12 @@ func (e *Engine) produceToken(r *Request, at time.Duration, res *StepResult) {
 	if r.FirstTokenAt == 0 {
 		r.FirstTokenAt = at
 	}
+	var gap time.Duration
+	if r.streaming && at > r.lastTokenAt {
+		gap = at - r.lastTokenAt
+	}
+	eos := r.Finished()
+	r.lastTokenAt, r.streaming = at, !eos
 	res.TokensGenerated++
 	if e.cfg.OnToken != nil {
 		e.cfg.OnToken(Token{
@@ -758,7 +770,8 @@ func (e *Engine) produceToken(r *Request, at time.Duration, res *StepResult) {
 			Index:     r.Generated - 1,
 			TokenID:   tokenID(r.ID, r.Generated-1, e.cfg.Model.VocabSize),
 			At:        at,
-			EOS:       r.Finished(),
+			EOS:       eos,
+			Gap:       gap,
 		})
 	}
 }

@@ -45,6 +45,13 @@ type Request struct {
 	// KvCache is usable once its link transfer completes.
 	kvReady time.Duration
 	hasLoRA bool // adapter acquired from the store (needs release)
+
+	// lastTokenAt is when the latest token went out while streaming is
+	// set; produceToken derives Token.Gap from it. Eviction, crash
+	// recovery and KV migration move this same *Request between engines,
+	// so the chain runs on across them; EOS ends it.
+	lastTokenAt time.Duration
+	streaming   bool
 }
 
 // ContextLen returns the tokens this request currently needs in KvCache:
@@ -70,6 +77,10 @@ type Token struct {
 	TokenID   int // deterministic pseudo-token
 	At        time.Duration
 	EOS       bool
+	// Gap is the time since the same request's previous token, or 0 when
+	// there is none or no time passed: the inter-token latency a
+	// streaming user sees, stalls and handoffs between engines included.
+	Gap time.Duration
 }
 
 // TokenIDFor exposes the deterministic pseudo-token derivation: any

@@ -40,20 +40,38 @@ type GPUSpec struct {
 	MeasureSync time.Duration
 }
 
-// StepTime returns how long a kernel with the given work takes on the GPU:
-// the larger of compute time and memory time (roofline), plus launch
-// overhead. Efficiencies derate the respective peaks and must be in (0, 1].
-func (g GPUSpec) StepTime(flop, bytes float64, computeEff, memEff float64) time.Duration {
+// Roofline is the GPU's roofline for one kernel class: the derated
+// compute and memory rates, evaluated once so a cost model that prices
+// the same kernel class every simulated step does not re-derive them.
+type Roofline struct {
+	Compute float64 // FLOP/s: PeakFP16 × compute efficiency
+	Mem     float64 // bytes/s: MemBandwidth × memory efficiency
+	Launch  time.Duration
+}
+
+// Roofline derates the GPU's peaks by the kernel class's efficiencies,
+// which must be in (0, 1].
+func (g GPUSpec) Roofline(computeEff, memEff float64) Roofline {
 	if computeEff <= 0 || computeEff > 1 || memEff <= 0 || memEff > 1 {
 		panic("hw: efficiency out of (0,1]")
 	}
-	tc := flop / (g.PeakFP16 * computeEff)
-	tm := bytes / (g.MemBandwidth * memEff)
+	return Roofline{
+		Compute: g.PeakFP16 * computeEff,
+		Mem:     g.MemBandwidth * memEff,
+		Launch:  g.KernelLaunch,
+	}
+}
+
+// Time returns how long a kernel with the given work takes: the larger
+// of compute time and memory time (roofline), plus launch overhead.
+func (r Roofline) Time(flop, bytes float64) time.Duration {
+	tc := flop / r.Compute
+	tm := bytes / r.Mem
 	t := tc
 	if tm > t {
 		t = tm
 	}
-	return g.KernelLaunch + Seconds(t)
+	return r.Launch + Seconds(t)
 }
 
 // A100 returns Testbed #1's GPU: A100-SXM4-80GB.

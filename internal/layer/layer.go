@@ -96,8 +96,6 @@ type Costs struct {
 	// HostOverhead is the per-invocation host cost (batch assembly,
 	// sampling, detokenisation). hw.HostInvokeOverhead by default.
 	HostOverhead time.Duration
-
-	lora sgmv.CostModel
 }
 
 // LoRAImpl selects the LoRA addon implementation for cost purposes.
@@ -122,7 +120,6 @@ func New(gpu hw.GPUSpec, model models.Config) Costs {
 		FlashAttention: true,
 		FusedNorm:      true,
 		HostOverhead:   hw.HostInvokeOverhead,
-		lora:           sgmv.NewCostModel(gpu),
 	}
 }
 
@@ -135,123 +132,129 @@ func (c Costs) WithTP(world int) Costs {
 	return c
 }
 
-func (c Costs) tp() float64 {
-	if c.TP < 1 {
-		return 1
+// LayerTime returns the latency of one transformer block for the
+// invocation. This is what Fig. 10 plots.
+func (c Costs) LayerTime(inv Invocation) time.Duration {
+	tokens := inv.TotalTokens()
+	if tokens == 0 {
+		return 0
 	}
-	return float64(c.TP)
+	k := c.Compile()
+	return k.layerTime(&inv, tokens)
 }
 
-func (c Costs) loraModel() sgmv.CostModel {
-	if c.lora.GPU.PeakFP16 == 0 {
-		return sgmv.NewCostModel(c.GPU)
-	}
-	return c.lora
+// InvokeTime returns the latency of one full model invocation: all layers
+// plus the LM head and the host driver overhead. This is the decode-step
+// (or mixed-batch) latency the serving engine advances time by.
+func (c Costs) InvokeTime(inv Invocation) time.Duration {
+	k := c.Compile()
+	return k.InvokeTime(inv)
 }
 
-// denseTime is the latency of the seven dense projections of one layer:
-// one weight-streaming pass plus activation traffic, roofed against
-// Tensor-Core compute.
-func (c Costs) denseTime(tokens int) time.Duration {
-	params := float64(c.Model.LayerParams()) / c.tp()
-	flop := 2 * float64(tokens) * params
-	actElems := 0.0
-	for _, p := range models.Projections {
+// Compiled is a Costs with every invocation-independent sub-expression of
+// the cost model evaluated once. A serving engine compiles its Costs when
+// its configuration is final and prices every step through the result;
+// Costs.InvokeTime and Costs.LayerTime compile on each call, so the two
+// share one formula and nothing cached can outlive an edit to a Costs
+// field.
+//
+// Each hoisted constant is the leading operand chain of the expression it
+// came from, evaluated in the same order, and every per-term sum still
+// accumulates term by term: the latencies are bit-identical to
+// evaluating the formulas in full (testdata/cost_golden.txt pins them).
+type Compiled struct {
+	layers       time.Duration
+	hostOverhead time.Duration
+	launch       time.Duration
+	norm         time.Duration // the layer's two norms
+
+	flash    bool
+	kvConcat bool
+	loraLoop bool
+
+	tp           int
+	tpf          float64
+	interconnect hw.Link
+	hidden       int64 // HiddenSize, for the all-reduce payload
+
+	// Dense projections: per-shard layer params and their weight bytes,
+	// and each projection's in+out activation width.
+	params      float64
+	weightBytes float64
+	projInOut   [numProj]float64
+
+	// Attention: per-shard hidden width and heads, KvCache bytes per
+	// token per layer.
+	h          float64
+	heads      float64
+	kvPerToken float64
+
+	// LM head: vocab, full hidden width, and its weight bytes per shard.
+	vocab         float64
+	hFull         float64
+	lmWeightBytes float64
+
+	// The roofline of each kernel class: dense GEMMs and the LM head
+	// (dequantising when weights are quantized), attention, and the
+	// KvCache concatenation copy.
+	gemm   hw.Roofline
+	attn   hw.Roofline
+	concat hw.Roofline
+
+	// LoRA addon: the distinct TP-sharded (in, out) shapes of the seven
+	// projections, and the SGMV kernel rates.
+	loraShapes  [numProj]loraShape
+	nLoRAShapes int
+	lora        sgmv.Rates
+}
+
+// numProj is len(models.Projections): a block's seven dense projections.
+const numProj = 7
+
+// loraShape is one TP-sharded projection shape and how many of the
+// block's projections have it. Projections of one shape cost the same,
+// and latencies are integer nanoseconds, so pricing the shape once and
+// multiplying sums exactly what pricing each projection would.
+type loraShape struct{ in, out, n int }
+
+// Compile evaluates c's invocation-independent constants.
+func (c *Costs) Compile() (k Compiled) {
+	k.tpf = 1
+	if c.TP >= 1 {
+		k.tpf = float64(c.TP)
+	}
+	k.norm = 2 * hw.LayerNormUnfused
+	if c.FusedNorm {
+		k.norm = 2 * hw.LayerNormFused
+	}
+	k.layers = time.Duration(c.Model.Layers)
+	k.hostOverhead = c.HostOverhead
+	k.launch = c.GPU.KernelLaunch
+	k.flash = c.FlashAttention
+	k.kvConcat = c.KVConcat
+	k.loraLoop = c.LoRAImpl == LoRALoop
+	k.tp = c.TP
+	k.interconnect = c.Interconnect
+	k.hidden = int64(c.Model.HiddenSize)
+
+	wbpp := c.WeightPrecision.BytesPerParam()
+	k.params = float64(c.Model.LayerParams()) / k.tpf
+	k.weightBytes = k.params * wbpp
+	k.h = float64(c.Model.HiddenSize) / k.tpf
+	k.heads = float64(c.Model.Heads) / k.tpf
+	k.kvPerToken = 2 * float64(c.Model.KVDim()) * c.KVPrecision.BytesPerParam() / k.tpf
+	k.vocab = float64(c.Model.VocabSize)
+	k.hFull = float64(c.Model.HiddenSize)
+	k.lmWeightBytes = k.vocab * k.hFull * wbpp / k.tpf
+
+	k.gemm = c.GPU.Roofline(hw.EffGEMMCompute*c.WeightPrecision.DequantOverhead(), hw.EffGEMMMem)
+	k.attn = c.GPU.Roofline(hw.EffGEMMCompute, hw.EffAttention)
+	k.concat = c.GPU.Roofline(1, hw.EffGEMMMem)
+	k.lora = sgmv.NewCostModel(c.GPU).Rates()
+
+	for i, p := range models.Projections {
 		in, out := c.Model.Dims(p)
-		actElems += float64(tokens) * float64(in+out) / c.tp()
-	}
-	bytes := params*c.WeightPrecision.BytesPerParam() + actElems*hw.FP16Bytes
-	t := c.GPU.StepTime(flop, bytes,
-		hw.EffGEMMCompute*c.WeightPrecision.DequantOverhead(), hw.EffGEMMMem)
-	// Seven kernel launches; StepTime already charged one.
-	return t + 6*c.GPU.KernelLaunch
-}
-
-// kvBytesPerTokenLayer is the per-layer, per-token KvCache footprint on
-// one shard.
-func (c Costs) kvBytesPerTokenLayer() float64 {
-	return 2 * float64(c.Model.KVDim()) * c.KVPrecision.BytesPerParam() / c.tp()
-}
-
-// attentionPrefillTime is one BatchPrefill launch over the prefill
-// sequences: compute is the quadratic score/value matmuls, memory is the
-// KvCache written and read.
-func (c Costs) attentionPrefillTime(lens []int) time.Duration {
-	if len(lens) == 0 {
-		return 0
-	}
-	var flop, bytes float64
-	h := float64(c.Model.HiddenSize) / c.tp()
-	for _, s := range lens {
-		fs := float64(s)
-		flop += 4 * fs * fs * h // QK^T and PV across all local heads
-		bytes += fs * c.kvBytesPerTokenLayer()
-		bytes += fs * 2 * h * hw.FP16Bytes // Q in, O out
-		if !c.FlashAttention {
-			// Materialised scores: write + read s×s per local head.
-			heads := float64(c.Model.Heads) / c.tp()
-			bytes += 2 * heads * fs * fs * hw.FP16Bytes
-		}
-	}
-	t := c.GPU.StepTime(flop, bytes, hw.EffGEMMCompute, hw.EffAttention)
-	if !c.FlashAttention {
-		t += 3 * c.GPU.KernelLaunch // separate QK^T, softmax, PV kernels
-	}
-	return t
-}
-
-// attentionDecodeTime is one BatchDecode launch over the decode requests:
-// IO-bound on reading each sequence's KvCache (§2.1: the decode stage has
-// low utilisation; §8: self-attention is bounded by memory bandwidth).
-func (c Costs) attentionDecodeTime(contexts []int) time.Duration {
-	if len(contexts) == 0 {
-		return 0
-	}
-	var kvBytes float64
-	for _, s := range contexts {
-		kvBytes += float64(s+1) * c.kvBytesPerTokenLayer()
-	}
-	h := float64(c.Model.HiddenSize) / c.tp()
-	actBytes := float64(len(contexts)) * 2 * h * hw.FP16Bytes
-	flop := 0.0
-	for _, s := range contexts {
-		flop += 4 * float64(s+1) * h
-	}
-	bytes := kvBytes + actBytes
-	if !c.FlashAttention {
-		bytes += kvBytes * 0.5 // extra passes over scores
-	}
-	t := c.GPU.StepTime(flop, bytes, hw.EffGEMMCompute, hw.EffAttention)
-	if !c.FlashAttention {
-		t += 3 * c.GPU.KernelLaunch
-	}
-	return t
-}
-
-// kvConcatTime is HuggingFace's per-layer KvCache concatenation: "it
-// needs to read the whole KvCache and write a new copy" every step
-// (§5.4).
-func (c Costs) kvConcatTime(contexts []int) time.Duration {
-	if !c.KVConcat || len(contexts) == 0 {
-		return 0
-	}
-	var kvBytes float64
-	for _, s := range contexts {
-		kvBytes += float64(s+1) * c.kvBytesPerTokenLayer()
-	}
-	return c.GPU.StepTime(0, 2*kvBytes, 1, hw.EffGEMMMem)
-}
-
-// loraTime is the per-layer LoRA addon: seven SGMV operator invocations,
-// one per dense projection (§6: segment indices are used 7L times).
-func (c Costs) loraTime(inv Invocation) time.Duration {
-	if !inv.HasLoRA() {
-		return 0
-	}
-	cm := c.loraModel()
-	var t time.Duration
-	for _, p := range models.Projections {
-		in, out := c.Model.Dims(p)
+		k.projInOut[i] = float64(in + out)
 		// Column-parallel shards split the output dim; row-parallel
 		// (o_proj, down_proj) split the input dim. Either way the
 		// per-shard weight volume is 1/TP.
@@ -261,11 +264,122 @@ func (c Costs) loraTime(inv Invocation) time.Duration {
 		default:
 			out = shard(out, c.TP)
 		}
-		if c.LoRAImpl == LoRALoop {
-			t += cm.LoopTime(in, inv.LoRARank, out, inv.LoRASegments)
-		} else {
-			t += cm.OperatorTime(in, inv.LoRARank, out, inv.LoRASegments)
+		k.addLoRAShape(in, out)
+	}
+	return k
+}
+
+func (k *Compiled) addLoRAShape(in, out int) {
+	for i := range k.loraShapes[:k.nLoRAShapes] {
+		if s := &k.loraShapes[i]; s.in == in && s.out == out {
+			s.n++
+			return
 		}
+	}
+	k.loraShapes[k.nLoRAShapes] = loraShape{in, out, 1}
+	k.nLoRAShapes++
+}
+
+// denseTime is the latency of the seven dense projections of one layer:
+// one weight-streaming pass plus activation traffic, roofed against
+// Tensor-Core compute.
+func (k *Compiled) denseTime(tokens int) time.Duration {
+	ft := float64(tokens)
+	flop := 2 * ft * k.params
+	actElems := 0.0
+	for _, inOut := range k.projInOut {
+		actElems += ft * inOut / k.tpf
+	}
+	bytes := k.weightBytes + actElems*hw.FP16Bytes
+	// Seven kernel launches; the roofline already charged one.
+	return k.gemm.Time(flop, bytes) + 6*k.launch
+}
+
+// attentionPrefillTime is one BatchPrefill launch over the prefill
+// sequences: compute is the quadratic score/value matmuls, memory is the
+// KvCache written and read.
+func (k *Compiled) attentionPrefillTime(lens []int) time.Duration {
+	if len(lens) == 0 {
+		return 0
+	}
+	var flop, bytes float64
+	h := k.h
+	for _, s := range lens {
+		fs := float64(s)
+		flop += 4 * fs * fs * h // QK^T and PV across all local heads
+		bytes += fs * k.kvPerToken
+		bytes += fs * 2 * h * hw.FP16Bytes // Q in, O out
+		if !k.flash {
+			// Materialised scores: write + read s×s per local head.
+			bytes += 2 * k.heads * fs * fs * hw.FP16Bytes
+		}
+	}
+	t := k.attn.Time(flop, bytes)
+	if !k.flash {
+		t += 3 * k.launch // separate QK^T, softmax, PV kernels
+	}
+	return t
+}
+
+// decodeKVBytes is the KvCache the decode requests read per layer: each
+// context plus the token being generated.
+func (k *Compiled) decodeKVBytes(contexts []int) float64 {
+	var kvBytes float64
+	for _, s := range contexts {
+		kvBytes += float64(s+1) * k.kvPerToken
+	}
+	return kvBytes
+}
+
+// attentionDecodeTime is one BatchDecode launch over the decode requests:
+// IO-bound on reading each sequence's KvCache (§2.1: the decode stage has
+// low utilisation; §8: self-attention is bounded by memory bandwidth).
+func (k *Compiled) attentionDecodeTime(contexts []int, kvBytes float64) time.Duration {
+	if len(contexts) == 0 {
+		return 0
+	}
+	h := k.h
+	actBytes := float64(len(contexts)) * 2 * h * hw.FP16Bytes
+	flop := 0.0
+	for _, s := range contexts {
+		flop += 4 * float64(s+1) * h
+	}
+	bytes := kvBytes + actBytes
+	if !k.flash {
+		bytes += kvBytes * 0.5 // extra passes over scores
+	}
+	t := k.attn.Time(flop, bytes)
+	if !k.flash {
+		t += 3 * k.launch
+	}
+	return t
+}
+
+// kvConcatTime is HuggingFace's per-layer KvCache concatenation: "it
+// needs to read the whole KvCache and write a new copy" every step
+// (§5.4).
+func (k *Compiled) kvConcatTime(contexts []int, kvBytes float64) time.Duration {
+	if !k.kvConcat || len(contexts) == 0 {
+		return 0
+	}
+	return k.concat.Time(0, 2*kvBytes)
+}
+
+// loraTime is the per-layer LoRA addon: seven SGMV operator invocations,
+// one per dense projection (§6: segment indices are used 7L times).
+func (k *Compiled) loraTime(inv *Invocation) time.Duration {
+	if !inv.HasLoRA() {
+		return 0
+	}
+	var t time.Duration
+	for _, s := range k.loraShapes[:k.nLoRAShapes] {
+		var op time.Duration
+		if k.loraLoop {
+			op = k.lora.LoopTime(s.in, inv.LoRARank, s.out, inv.LoRASegments)
+		} else {
+			op = k.lora.OperatorTime(s.in, inv.LoRARank, s.out, inv.LoRASegments)
+		}
+		t += time.Duration(s.n) * op
 	}
 	return t
 }
@@ -281,64 +395,49 @@ func shard(dim, tp int) int {
 	return d
 }
 
-// normTime is the two RMSNorm/LayerNorm applications per layer.
-func (c Costs) normTime() time.Duration {
-	if c.FusedNorm {
-		return 2 * hw.LayerNormFused
-	}
-	return 2 * hw.LayerNormUnfused
-}
-
 // allReduceTime is the Megatron cost: two all-reduces per layer over the
 // activations of every token.
-func (c Costs) allReduceTime(tokens int) time.Duration {
-	if c.TP <= 1 {
+func (k *Compiled) allReduceTime(tokens int) time.Duration {
+	if k.tp <= 1 {
 		return 0
 	}
-	payload := int64(tokens) * int64(c.Model.HiddenSize) * hw.FP16Bytes
-	return 2 * hw.AllReduceTime(c.Interconnect, payload, c.TP)
+	payload := int64(tokens) * k.hidden * hw.FP16Bytes
+	return 2 * hw.AllReduceTime(k.interconnect, payload, k.tp)
 }
 
-// LayerTime returns the latency of one transformer block for the
-// invocation. This is what Fig. 10 plots.
-func (c Costs) LayerTime(inv Invocation) time.Duration {
-	tokens := inv.TotalTokens()
-	if tokens == 0 {
-		return 0
-	}
-	return c.denseTime(tokens) +
-		c.attentionPrefillTime(inv.PrefillLens) +
-		c.attentionDecodeTime(inv.DecodeContexts) +
-		c.kvConcatTime(inv.DecodeContexts) +
-		c.loraTime(inv) +
-		c.normTime() +
-		c.allReduceTime(tokens)
+// layerTime is one transformer block's latency for an invocation of
+// tokens > 0 token positions.
+func (k *Compiled) layerTime(inv *Invocation, tokens int) time.Duration {
+	kvBytes := k.decodeKVBytes(inv.DecodeContexts)
+	return k.denseTime(tokens) +
+		k.attentionPrefillTime(inv.PrefillLens) +
+		k.attentionDecodeTime(inv.DecodeContexts, kvBytes) +
+		k.kvConcatTime(inv.DecodeContexts, kvBytes) +
+		k.loraTime(inv) +
+		k.norm +
+		k.allReduceTime(tokens)
 }
 
 // lmHeadTime is the output projection over one sampled position per
 // request plus the embedding lookups.
-func (c Costs) lmHeadTime(inv Invocation) time.Duration {
+func (k *Compiled) lmHeadTime(inv *Invocation, tokens int) time.Duration {
 	batch := inv.BatchSize()
 	if batch == 0 {
 		return 0
 	}
-	vocab := float64(c.Model.VocabSize)
-	h := float64(c.Model.HiddenSize)
-	weightBytes := vocab * h * c.WeightPrecision.BytesPerParam() / c.tp()
-	flop := 2 * float64(batch) * vocab * h / c.tp()
-	embedBytes := float64(inv.TotalTokens()) * h * hw.FP16Bytes
-	return c.GPU.StepTime(flop, weightBytes+embedBytes,
-		hw.EffGEMMCompute*c.WeightPrecision.DequantOverhead(), hw.EffGEMMMem)
+	flop := 2 * float64(batch) * k.vocab * k.hFull / k.tpf
+	embedBytes := float64(tokens) * k.hFull * hw.FP16Bytes
+	return k.gemm.Time(flop, k.lmWeightBytes+embedBytes)
 }
 
-// InvokeTime returns the latency of one full model invocation: all layers
-// plus the LM head and the host driver overhead. This is the decode-step
-// (or mixed-batch) latency the serving engine advances time by.
-func (c Costs) InvokeTime(inv Invocation) time.Duration {
-	if inv.TotalTokens() == 0 {
+// InvokeTime returns the latency of one full model invocation (see
+// Costs.InvokeTime).
+func (k *Compiled) InvokeTime(inv Invocation) time.Duration {
+	tokens := inv.TotalTokens()
+	if tokens == 0 {
 		return 0
 	}
-	return time.Duration(c.Model.Layers)*c.LayerTime(inv) +
-		c.lmHeadTime(inv) +
-		c.HostOverhead
+	return k.layers*k.layerTime(&inv, tokens) +
+		k.lmHeadTime(&inv, tokens) +
+		k.hostOverhead
 }

@@ -49,12 +49,31 @@ type CostModel struct {
 // standalone) mode.
 func NewCostModel(gpu hw.GPUSpec) CostModel { return CostModel{GPU: gpu} }
 
-func (c CostModel) perKernelOverhead() time.Duration {
+// Rates is a CostModel with its derated rates and per-kernel overhead
+// evaluated once: the form a model that prices SGMV launches every
+// simulated step holds. CostModel's KernelTime, OperatorTime and LoopTime
+// evaluate through it, so each formula has one implementation.
+type Rates struct {
+	compute  float64       // PeakFP16 × EffSGMVCompute
+	gather   float64       // MemBandwidth × EffSGMVGather
+	stream   float64       // MemBandwidth × EffGEMMMem
+	bmm      float64       // MemBandwidth × EffTorchBMM
+	overhead time.Duration // launch, plus stream sync when standalone
+}
+
+// Rates evaluates the model's invocation-independent constants.
+func (c CostModel) Rates() Rates {
 	o := c.GPU.KernelLaunch
 	if c.Standalone {
 		o += c.GPU.MeasureSync
 	}
-	return o
+	return Rates{
+		compute:  c.GPU.PeakFP16 * hw.EffSGMVCompute,
+		gather:   c.GPU.MemBandwidth * hw.EffSGMVGather,
+		stream:   c.GPU.MemBandwidth * hw.EffGEMMMem,
+		bmm:      c.GPU.MemBandwidth * hw.EffTorchBMM,
+		overhead: o,
+	}
 }
 
 // KernelTime returns the latency of one SGMV kernel launch. The model is
@@ -64,6 +83,12 @@ func (c CostModel) perKernelOverhead() time.Duration {
 // LoRA index pays hw.SGMVSegmentOverhead (threadblock dispatch on
 // blockIdx.y, Fig. 4).
 func (c CostModel) KernelTime(op Op) time.Duration {
+	k := c.Rates()
+	return k.KernelTime(op)
+}
+
+// KernelTime is CostModel.KernelTime at the precomputed rates.
+func (k *Rates) KernelTime(op Op) time.Duration {
 	if op.Seg.N() == 0 {
 		return 0
 	}
@@ -71,25 +96,30 @@ func (c CostModel) KernelTime(op Op) time.Duration {
 	n := float64(op.Seg.N())
 	hi, ho := float64(op.HIn), float64(op.HOut)
 
-	compute := op.FLOP() / (c.GPU.PeakFP16 * hw.EffSGMVCompute)
+	compute := op.FLOP() / k.compute
 	weightBytes := n * hi * ho * hw.FP16Bytes
 	actBytes := sn * (hi + ho) * hw.FP16Bytes
-	mem := weightBytes/(c.GPU.MemBandwidth*hw.EffSGMVGather) +
-		actBytes/(c.GPU.MemBandwidth*hw.EffGEMMMem)
+	mem := weightBytes/k.gather + actBytes/k.stream
 
 	work := compute
 	if mem > work {
 		work = mem
 	}
 	segCost := time.Duration(op.Seg.N()) * hw.SGMVSegmentOverhead
-	return c.perKernelOverhead() + segCost + hw.Seconds(work)
+	return k.overhead + segCost + hw.Seconds(work)
 }
 
 // OperatorTime returns the latency of the full batched LoRA addon for one
 // projection (hIn → rank → hOut): two SGMV launches (shrink then expand).
 func (c CostModel) OperatorTime(hIn, rank, hOut int, seg Segments) time.Duration {
-	shrink := c.KernelTime(Op{HIn: hIn, HOut: rank, Seg: seg})
-	expand := c.KernelTime(Op{HIn: rank, HOut: hOut, Seg: seg})
+	k := c.Rates()
+	return k.OperatorTime(hIn, rank, hOut, seg)
+}
+
+// OperatorTime is CostModel.OperatorTime at the precomputed rates.
+func (k *Rates) OperatorTime(hIn, rank, hOut int, seg Segments) time.Duration {
+	shrink := k.KernelTime(Op{HIn: hIn, HOut: rank, Seg: seg})
+	expand := k.KernelTime(Op{HIn: rank, HOut: hOut, Seg: seg})
 	return shrink + expand
 }
 
@@ -98,6 +128,12 @@ func (c CostModel) OperatorTime(hIn, rank, hOut int, seg Segments) time.Duration
 // With n distinct models this is n × 2 dispatches — the cost that makes
 // Loop "behave terribly" in the Distinct workload (Fig. 8a).
 func (c CostModel) LoopTime(hIn, rank, hOut int, seg Segments) time.Duration {
+	k := c.Rates()
+	return k.LoopTime(hIn, rank, hOut, seg)
+}
+
+// LoopTime is CostModel.LoopTime at the precomputed rates.
+func (k *Rates) LoopTime(hIn, rank, hOut int, seg Segments) time.Duration {
 	var total time.Duration
 	for i := 0; i < seg.N(); i++ {
 		rows := float64(seg.Len(i))
@@ -106,7 +142,7 @@ func (c CostModel) LoopTime(hIn, rank, hOut int, seg Segments) time.Duration {
 		// v@B: read v rows + B, write y rows.
 		b2 := (rows*float64(rank) + float64(rank*hOut) + rows*float64(hOut)) * hw.FP16Bytes
 		total += 2*hw.TorchOpOverhead +
-			hw.Seconds((b1+b2)/(c.GPU.MemBandwidth*hw.EffTorchBMM))
+			hw.Seconds((b1+b2)/k.bmm)
 	}
 	return total
 }
