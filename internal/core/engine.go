@@ -715,20 +715,17 @@ func (e *Engine) buildInvocation(prefills, decodes []*Request) layer.Invocation 
 		addTokens(r.Model, 1)
 	}
 	e.segModels, e.segCounts = segModels, segCounts
+	maxRank := 0
+	for _, m := range segModels {
+		if r := e.reg.Ensure(m).Rank; r > maxRank {
+			maxRank = r
+		}
+	}
 	// SGMV pads every segment to the widest rank in the batch, so a
 	// mixed-rank invocation runs at the largest adapter's cost. Uniform
-	// fleets (the paper's setup) register every adapter at cfg.Rank, so
-	// their invocations keep it without a registry lookup per segment.
-	if e.cfg.AdapterRank != nil {
-		maxRank := 0
-		for _, m := range segModels {
-			if r := e.reg.Ensure(m).Rank; r > maxRank {
-				maxRank = r
-			}
-		}
-		if maxRank > 0 {
-			inv.LoRARank = maxRank
-		}
+	// fleets (the paper's setup) see exactly cfg.Rank here.
+	if maxRank > 0 {
+		inv.LoRARank = maxRank
 	}
 	bounds := append(e.segBounds[:0], 0)
 	for _, n := range segCounts {

@@ -40,6 +40,13 @@ type GPUSpec struct {
 	MeasureSync time.Duration
 }
 
+// StepTime returns how long a kernel with the given work takes on the GPU:
+// the larger of compute time and memory time (roofline), plus launch
+// overhead. Efficiencies derate the respective peaks and must be in (0, 1].
+func (g GPUSpec) StepTime(flop, bytes float64, computeEff, memEff float64) time.Duration {
+	return g.Roofline(computeEff, memEff).Time(flop, bytes)
+}
+
 // Roofline is the GPU's roofline for one kernel class: the derated
 // compute and memory rates, evaluated once so a cost model that prices
 // the same kernel class every simulated step does not re-derive them.

@@ -25,17 +25,17 @@ func TestA100Specs(t *testing.T) {
 func TestStepTimeRoofline(t *testing.T) {
 	g := A100()
 	// Compute-bound: huge FLOPs, tiny bytes.
-	tc := g.Roofline(1, 1).Time(312e12, 1) // one second of peak compute
+	tc := g.StepTime(312e12, 1, 1, 1) // one second of peak compute
 	if d := tc - g.KernelLaunch; d < 990*time.Millisecond || d > 1010*time.Millisecond {
 		t.Errorf("compute-bound time = %v, want ~1s", d)
 	}
 	// Memory-bound: tiny FLOPs, a full second of bytes.
-	tm := g.Roofline(1, 1).Time(1, 1.935e12)
+	tm := g.StepTime(1, 1.935e12, 1, 1)
 	if d := tm - g.KernelLaunch; d < 990*time.Millisecond || d > 1010*time.Millisecond {
 		t.Errorf("memory-bound time = %v, want ~1s", d)
 	}
 	// Roofline takes the max, not the sum.
-	both := g.Roofline(1, 1).Time(312e12, 1.935e12)
+	both := g.StepTime(312e12, 1.935e12, 1, 1)
 	if both > tc+tm {
 		t.Errorf("roofline exceeded sum: %v > %v", both, tc+tm)
 	}
@@ -50,10 +50,10 @@ func TestStepTimeEfficiencyPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Roofline(eff=%v) should panic", eff)
+					t.Errorf("StepTime(eff=%v) should panic", eff)
 				}
 			}()
-			g.Roofline(eff[0], eff[1])
+			g.StepTime(1, 1, eff[0], eff[1])
 		}()
 	}
 }

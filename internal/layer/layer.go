@@ -181,7 +181,7 @@ type Compiled struct {
 	// and each projection's in+out activation width.
 	params      float64
 	weightBytes float64
-	projInOut   [numProj]float64
+	projInOut   [len(models.Projections)]float64
 
 	// Attention: per-shard hidden width and heads, KvCache bytes per
 	// token per layer.
@@ -201,21 +201,11 @@ type Compiled struct {
 	attn   hw.Roofline
 	concat hw.Roofline
 
-	// LoRA addon: the distinct TP-sharded (in, out) shapes of the seven
-	// projections, and the SGMV kernel rates.
-	loraShapes  [numProj]loraShape
-	nLoRAShapes int
-	lora        sgmv.Rates
+	// LoRA addon: each projection's TP-sharded (in, out) shape, and the
+	// SGMV kernel rates.
+	loraDims [len(models.Projections)]struct{ in, out int }
+	lora     sgmv.Rates
 }
-
-// numProj is len(models.Projections): a block's seven dense projections.
-const numProj = 7
-
-// loraShape is one TP-sharded projection shape and how many of the
-// block's projections have it. Projections of one shape cost the same,
-// and latencies are integer nanoseconds, so pricing the shape once and
-// multiplying sums exactly what pricing each projection would.
-type loraShape struct{ in, out, n int }
 
 // Compile evaluates c's invocation-independent constants.
 func (c *Costs) Compile() (k Compiled) {
@@ -264,20 +254,9 @@ func (c *Costs) Compile() (k Compiled) {
 		default:
 			out = shard(out, c.TP)
 		}
-		k.addLoRAShape(in, out)
+		k.loraDims[i].in, k.loraDims[i].out = in, out
 	}
 	return k
-}
-
-func (k *Compiled) addLoRAShape(in, out int) {
-	for i := range k.loraShapes[:k.nLoRAShapes] {
-		if s := &k.loraShapes[i]; s.in == in && s.out == out {
-			s.n++
-			return
-		}
-	}
-	k.loraShapes[k.nLoRAShapes] = loraShape{in, out, 1}
-	k.nLoRAShapes++
 }
 
 // denseTime is the latency of the seven dense projections of one layer:
@@ -371,15 +350,19 @@ func (k *Compiled) loraTime(inv *Invocation) time.Duration {
 	if !inv.HasLoRA() {
 		return 0
 	}
-	var t time.Duration
-	for _, s := range k.loraShapes[:k.nLoRAShapes] {
-		var op time.Duration
-		if k.loraLoop {
-			op = k.lora.LoopTime(s.in, inv.LoRARank, s.out, inv.LoRASegments)
-		} else {
-			op = k.lora.OperatorTime(s.in, inv.LoRARank, s.out, inv.LoRASegments)
+	var t, op time.Duration
+	for i := range k.loraDims {
+		d := &k.loraDims[i]
+		// Adjacent projections often share a shape (q/k/v/o, gate/up):
+		// the operator then costs what the previous one did.
+		if i == 0 || *d != k.loraDims[i-1] {
+			if k.loraLoop {
+				op = k.lora.LoopTime(d.in, inv.LoRARank, d.out, inv.LoRASegments)
+			} else {
+				op = k.lora.OperatorTime(d.in, inv.LoRARank, d.out, inv.LoRASegments)
+			}
 		}
-		t += time.Duration(s.n) * op
+		t += op
 	}
 	return t
 }

@@ -112,7 +112,7 @@ const (
 )
 
 // Projections lists all seven dense projections of a block.
-var Projections = []Projection{ProjQ, ProjK, ProjV, ProjO, ProjGate, ProjUp, ProjDown}
+var Projections = [...]Projection{ProjQ, ProjK, ProjV, ProjO, ProjGate, ProjUp, ProjDown}
 
 // String names the projection.
 func (p Projection) String() string {

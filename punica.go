@@ -90,6 +90,10 @@ func PunicaSystem() SystemConfig { return core.PunicaSystem() }
 // GPUSpec describes a GPU model for the cost simulation.
 type GPUSpec = hw.GPUSpec
 
+// Roofline is a GPU's derated compute and memory rates for one kernel
+// class (GPUSpec.Roofline).
+type Roofline = hw.Roofline
+
 // Link models a data-movement channel (PCIe, NvSwitch).
 type Link = hw.Link
 
