@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"punica/internal/dist"
 	"punica/internal/hw"
 	"punica/internal/lora"
+	"punica/internal/metrics"
 	"punica/internal/models"
 	"punica/internal/workload"
 )
@@ -102,3 +105,48 @@ func TestSimFleetReplayAllocs(t *testing.T) {
 		t.Fatalf("replay allocates %.2f objects per request, budget %d", per, simFleetMaxAllocs)
 	}
 }
+
+// TestSimFleetReplayPinned pins the whole outcome of the replay that
+// BenchmarkSimFleetReplay times, so a change to the replay's hot path
+// that moves any modelled number fails here and not only in perfbench's
+// digest. The text was recorded when every arrival was scheduled up
+// front, each token gap went into the histogram one sample at a time,
+// and each decode step looked its KvCache sequence up by id.
+func TestSimFleetReplayPinned(t *testing.T) {
+	res, err := New(simFleetConfig(t)).Run(simFleetTrace(simFleetTraceSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "finished=%d decode=%d prefill=%d makespan=%v queuePeak=%d\n",
+		res.Finished, res.DecodeTokens, res.PrefillTokens, res.Makespan, res.QueuePeak)
+	fmt.Fprintf(&b, "evictions=%d adapterEvictions=%d stalls=%d\n",
+		res.Evictions, res.AdapterEvictions, res.AdapterStalls)
+	for _, ts := range res.TierStats {
+		fmt.Fprintf(&b, "%+v\n", ts)
+	}
+	for _, h := range []struct {
+		name string
+		h    *metrics.Histogram
+	}{
+		{"ttft", &res.TimeToFirstToken},
+		{"e2e", &res.EndToEnd},
+		{"itl", &res.InterTokenLatency},
+	} {
+		fmt.Fprintf(&b, "%s n=%d mean=%v p50=%v p99=%v\n",
+			h.name, h.h.Count(), h.h.Mean(), h.h.Percentile(50), h.h.Percentile(99))
+	}
+	if got := b.String(); got != simFleetReplayPin {
+		t.Errorf("replay outcome drifted:\n got:\n%s\nwant:\n%s", got, simFleetReplayPin)
+	}
+}
+
+const simFleetReplayPin = `finished=3952 decode=403646 prefill=1738736 makespan=1m51.604278419s queuePeak=5
+evictions=0 adapterEvictions=4 stalls=0
+{Tier:ssd Hits:0 Misses:66 Promotions:0 Demotions:0 BytesIn:5276958720 UsedBytes:5276958720 CapacityBytes:68719476736}
+{Tier:ram Hits:1 Misses:66 Promotions:67 Demotions:0 BytesIn:5276958720 UsedBytes:239861760 CapacityBytes:8589934592}
+{Tier:hbm Hits:3885 Misses:67 Promotions:0 Demotions:4 BytesIn:5356912640 UsedBytes:5037096960 CapacityBytes:5117050880}
+ttft n=3952 mean=0.1021721062613867 p50=0.072652398 p99=0.43651712
+e2e n=3952 mean=2.593732697050103 p50=1.921327153 p99=12.290329212
+itl n=399694 mean=0.02463546476754206 p50=0.01904296875 p99=0.12890625
+`
