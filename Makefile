@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt check bench experiments scale scale-check scale-baseline shuffle fuzz invariants soak traffic-check traffic-baseline coldstart-check coldstart-baseline overload-check overload-baseline
+.PHONY: all build test race vet lint fmt check bench replay-profile experiments scale scale-check scale-baseline shuffle fuzz invariants soak traffic-check traffic-baseline coldstart-check coldstart-baseline overload-check overload-baseline
 
 all: check
 
@@ -69,6 +69,18 @@ check: fmt vet build test
 # the hard gate; this surfaces ns/op and B/op trends).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -benchmem ./...
+
+# replay-profile profiles BenchmarkSimFleetReplay (60 replays of the
+# sim-fleet deployment, one 4000-request trace each) and prints the
+# cumulative CPU profile: the source of DESIGN.md §9.1's "Where the time
+# went" table. The profile and test binary go to a fresh directory under
+# $TMPDIR (default /tmp), never into the checkout.
+replay-profile:
+	@dir=$$(mktemp -d "$${TMPDIR:-/tmp}/replay-profile.XXXXXX") && \
+	$(GO) test ./internal/cluster -run '^$$' -bench SimFleetReplay -benchtime 60x -benchmem \
+		-cpuprofile "$$dir/cpu.out" -o "$$dir/cluster.test" && \
+	$(GO) tool pprof -top -cum "$$dir/cluster.test" "$$dir/cpu.out" && \
+	echo "replay-profile: profile and test binary in $$dir"
 
 # experiments regenerates every paper table/figure as text.
 experiments:

@@ -121,8 +121,8 @@ func TestArrivalOrderPinned(t *testing.T) {
 		{"cells-spill", func(t *testing.T) *Result {
 			ec := punicaEngineConfig()
 			ec.System.MaxBatch = 8
-			// Every cell's consolidation ticks share instants with its
-			// arrivals, and the hot cell spills at barriers.
+			// Each cell's consolidation ticks share instants with its
+			// arrivals, and loaded cells spill queued work at barriers.
 			trace := onGrid(shortTrace(dist.Skewed, 120, 23), 12, 100*time.Millisecond)
 			_, res := runCells(t, CellsConfig{
 				Base: Config{

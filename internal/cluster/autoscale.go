@@ -198,7 +198,7 @@ func (a *autoscaler) tick() {
 			}
 		}
 	}
-	if a.c.arrivalsLeft > 0 || a.c.anyBusy() || a.c.sched.QueueLen() > 0 {
+	if a.c.arrivalsLeft() > 0 || a.c.anyBusy() || a.c.sched.QueueLen() > 0 {
 		a.c.clock.ScheduleAfter(a.cfg.CheckInterval, a.tick)
 	} else {
 		a.finish(now)

@@ -9,7 +9,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"punica/internal/core"
@@ -240,12 +242,25 @@ type Cluster struct {
 	byGPU map[*sched.GPU]*runner
 
 	res Result
+	// gap and gapRun hold the current run of equal token gaps, not yet
+	// added to InterTokenLatency (noteToken, flushGaps).
+	gap    time.Duration
+	gapRun int
 	// predistBuf is the pre-distribution daemon's reusable prediction
 	// list (predistTick).
-	predistBuf   []lora.ModelID
-	arrivalsLeft int
-	scale        *autoscaler
-	runErr       error
+	predistBuf []lora.ModelID
+	scale      *autoscaler
+	runErr     error
+
+	// The trace streams in: trace[order[next]] is the one arrival event
+	// pending on the clock, in reserved position firstSeq+index, and
+	// arrive is its handler, bound once (start, scheduleArrival).
+	trace    []workload.Request
+	order    []int32
+	next     int
+	firstSeq int64
+	arrive   func()
+
 	// recovering maps request ID → crash time for requests awaiting
 	// re-placement after their GPU failed (feeds RecoveryLatency).
 	recovering map[int64]time.Duration
@@ -258,10 +273,29 @@ type Cluster struct {
 // carry the simulated time since that token, so gaps measure exactly
 // what a streaming user would see — including prefill head-of-line
 // stalls and migration handoffs between pools.
+//
+// The continuing rows of one decode step share a gap, so gaps come in
+// runs of equal values; noteToken counts the run and flushGaps adds it
+// in one insert.
 func (c *Cluster) noteToken(tok core.Token) {
-	if tok.Gap > 0 {
-		c.res.InterTokenLatency.AddDuration(tok.Gap)
+	if tok.Gap <= 0 {
+		return
 	}
+	if tok.Gap != c.gap {
+		c.flushGaps()
+		c.gap = tok.Gap
+	}
+	c.gapRun++
+}
+
+// flushGaps adds the pending run of equal gaps to InterTokenLatency.
+// The histogram comes out bit-identical to adding each gap as it came:
+// runs flush in order, and an n-sample insert sums its value n times.
+func (c *Cluster) flushGaps() {
+	if c.gapRun > 0 {
+		c.res.InterTokenLatency.AddN(c.gap.Seconds(), c.gapRun)
+	}
+	c.gap, c.gapRun = 0, 0
 }
 
 type runner struct {
@@ -379,32 +413,18 @@ func (c *Cluster) Run(reqs []workload.Request) (*Result, error) {
 // without running anything. Cell-sharded runs start every cell and then
 // drive all clocks together under the epoch-barrier executor; Run is
 // the single-cell composition start → RunAll → finalize.
+//
+// Arrivals stream: one is pending on the clock at a time, and each
+// schedules the next as it fires. They run in order of arrival time
+// (clamped to the start time, as Schedule clamps), then trace index,
+// each in a clock position reserved here, so every arrival fires at the
+// same (time, position) as if all were scheduled up front.
 func (c *Cluster) start(reqs []workload.Request) {
-	c.arrivalsLeft = len(reqs)
-	fail := c.fail
-	for i := range reqs {
-		wr := reqs[i]
-		c.clock.Schedule(wr.Arrival, func() {
-			c.arrivalsLeft--
-			c.res.ArrivalSeries.Add(c.clock.Now(), 1)
-			r := &core.Request{
-				ID:        wr.ID,
-				Model:     lora.ModelID(wr.Model),
-				PromptLen: wr.PromptLen,
-				OutputLen: wr.OutputLen,
-				Arrival:   wr.Arrival,
-				Tenant:    wr.Tenant,
-			}
-			g, err := c.sched.Dispatch(r, c.clock.Now())
-			if err != nil {
-				fail(err)
-				return
-			}
-			if g != nil {
-				c.runnerOf(g).kick()
-			}
-		})
-	}
+	c.trace = reqs
+	c.order = arrivalOrder(reqs, c.clock.Now())
+	c.firstSeq = c.clock.Reserve(len(reqs))
+	c.arrive = c.arrival
+	c.scheduleArrival()
 	if c.cfg.MigrationInterval > 0 {
 		c.clock.Schedule(c.cfg.MigrationInterval, c.migrationTick)
 	}
@@ -422,10 +442,60 @@ func (c *Cluster) start(reqs []workload.Request) {
 	}
 }
 
+// arrivalOrder returns the trace's indices sorted by max(Arrival, from),
+// then index.
+func arrivalOrder(reqs []workload.Request, from time.Duration) []int32 {
+	order := make([]int32, len(reqs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(max(reqs[a].Arrival, from), max(reqs[b].Arrival, from))
+	})
+	return order
+}
+
+// arrivalsLeft counts the trace's arrivals that have not fired yet.
+func (c *Cluster) arrivalsLeft() int { return len(c.order) - c.next }
+
+// scheduleArrival puts the next arrival, if any, on the clock.
+func (c *Cluster) scheduleArrival() {
+	if c.arrivalsLeft() == 0 {
+		return
+	}
+	i := c.order[c.next]
+	c.clock.ScheduleReserved(c.trace[i].Arrival, c.firstSeq+int64(i), c.arrive)
+}
+
+// arrival dispatches the pending arrival and schedules the one after it.
+func (c *Cluster) arrival() {
+	wr := &c.trace[c.order[c.next]]
+	c.next++
+	c.scheduleArrival()
+	c.res.ArrivalSeries.Add(c.clock.Now(), 1)
+	r := &core.Request{
+		ID:        wr.ID,
+		Model:     lora.ModelID(wr.Model),
+		PromptLen: wr.PromptLen,
+		OutputLen: wr.OutputLen,
+		Arrival:   wr.Arrival,
+		Tenant:    wr.Tenant,
+	}
+	g, err := c.sched.Dispatch(r, c.clock.Now())
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	if g != nil {
+		c.runnerOf(g).kick()
+	}
+}
+
 // finalize aggregates engine statistics into the Result, enforces the
 // end-of-run leak invariants (pinned adapter bytes, KvCache pages,
 // unfinished work), and returns the result or the run's first error.
 func (c *Cluster) finalize() (*Result, error) {
+	c.flushGaps()
 	if c.runErr != nil {
 		return nil, c.runErr
 	}
@@ -531,7 +601,7 @@ func (c *Cluster) migrationTick() {
 			r.kick()
 		}
 	}
-	if c.arrivalsLeft > 0 || c.anyBusy() || c.sched.QueueLen() > 0 {
+	if c.arrivalsLeft() > 0 || c.anyBusy() || c.sched.QueueLen() > 0 {
 		c.clock.ScheduleAfter(c.cfg.MigrationInterval, c.migrationTick)
 	}
 }

@@ -142,7 +142,7 @@ func (c *Cluster) predistTick() {
 			}
 		}
 	}
-	if c.arrivalsLeft > 0 || c.anyBusy() || c.sched.QueueLen() > 0 {
+	if c.arrivalsLeft() > 0 || c.anyBusy() || c.sched.QueueLen() > 0 {
 		c.clock.ScheduleAfter(pd.interval(), c.predistTick)
 	}
 }

@@ -26,7 +26,7 @@ const (
 	simFleetTiers     = "ssd:16GiB@2GB/s+1ms,ram:2GiB@8GB/s+100us"
 	simFleetRate      = 40.544 // req/s
 	simFleetRequests  = 4000
-	simFleetMaxAllocs = 5 // per finished request, one replay
+	simFleetMaxAllocs = 3 // per finished request, one replay
 	simFleetTraceSeed = 1
 	simFleetMaxBatch  = 32
 )
@@ -85,8 +85,9 @@ func BenchmarkSimFleetReplay(b *testing.B) {
 }
 
 // TestSimFleetReplayAllocs guards the replay's allocation budget: the
-// per-request objects (the request itself, its arrival event, histogram
-// and series growth) and nothing per token or per step.
+// per-request objects (the request itself, its KvCache sequence record,
+// histogram and series growth) and nothing per token, per step or per
+// arrival event.
 func TestSimFleetReplayAllocs(t *testing.T) {
 	cfg := simFleetConfig(t)
 	trace := simFleetTrace(simFleetTraceSeed)

@@ -364,7 +364,7 @@ func (e *Engine) Cancel(id int64, now time.Duration) *Request {
 			if e.kv.Has(kvcache.SeqID(r.ID)) {
 				// Imported via KV migration: pages were allocated at
 				// import, not reserved at enqueue.
-				e.kv.Release(kvcache.SeqID(r.ID))
+				e.releaseKV(r)
 			} else {
 				e.reservedPages -= e.kv.PagesFor(e.kvNeed(r))
 			}
@@ -376,13 +376,19 @@ func (e *Engine) Cancel(id int64, now time.Duration) *Request {
 	for i, r := range e.active {
 		if r.ID == id {
 			e.active = append(e.active[:i], e.active[i+1:]...)
-			e.kv.Release(kvcache.SeqID(r.ID))
+			e.releaseKV(r)
 			e.releaseRequest(r)
 			e.stats.Cancellations++
 			return r
 		}
 	}
 	return nil
+}
+
+// releaseKV frees the request's KvCache sequence and drops its record.
+func (e *Engine) releaseKV(r *Request) {
+	e.kv.Release(kvcache.SeqID(r.ID))
+	r.kv = nil
 }
 
 func (e *Engine) releaseRequest(r *Request) {
@@ -422,7 +428,7 @@ func (e *Engine) Crash(now time.Duration) (lost []*Request, lostKVTokens int) {
 			// Imported mid-migration: the KvCache it carried is lost and
 			// must be recomputed like any crashed context.
 			lostKVTokens += r.ContextLen()
-			e.kv.Release(kvcache.SeqID(r.ID))
+			e.releaseKV(r)
 		} else {
 			e.reservedPages -= e.kv.PagesFor(e.kvNeed(r))
 		}
@@ -431,7 +437,7 @@ func (e *Engine) Crash(now time.Duration) (lost []*Request, lostKVTokens int) {
 	}
 	e.pending = nil
 	for _, r := range e.active {
-		e.kv.Release(kvcache.SeqID(r.ID))
+		e.releaseKV(r)
 		if r.done {
 			// Finished static-batch row: nothing to recover.
 			e.releaseRequest(r)
@@ -531,6 +537,7 @@ func (e *Engine) admit(now time.Duration) {
 			kept = append(kept, r)
 			continue
 		}
+		r.kv = e.kv.Lookup(kvcache.SeqID(r.ID))
 		e.reservedPages -= e.kv.PagesFor(need)
 		e.active = append(e.active, r)
 	}
@@ -540,8 +547,8 @@ func (e *Engine) admit(now time.Duration) {
 // ensureDecodeCapacity evicts newest requests until every row of the
 // upcoming invocation can append its new token to the KvCache: decode
 // rows and the prefill rows selected this step each grow by one slot,
-// which takes a fresh page at page boundaries. Returns the evicted
-// requests.
+// which takes a fresh page when the row's pages are full. Returns the
+// evicted requests.
 func (e *Engine) ensureDecodeCapacity(now time.Duration) []*Request {
 	evicted := e.evictedScratch[:0]
 	if !e.cfg.System.PagedKV {
@@ -554,16 +561,15 @@ func (e *Engine) ensureDecodeCapacity(now time.Duration) []*Request {
 			if !r.prefilled {
 				if prefills < e.cfg.System.MaxPrefillPerStep {
 					prefills++
-					ctx := r.ContextLen()
-					need += e.kv.PagesFor(ctx+1) - e.kv.PagesFor(ctx)
+					if e.kv.PageFull(r.kv) {
+						need++
+					}
 				}
 				continue
 			}
-			if r.done {
-				continue
+			if !r.done && e.kv.PageFull(r.kv) {
+				need++
 			}
-			ctx := r.ContextLen()
-			need += e.kv.PagesFor(ctx+1) - e.kv.PagesFor(ctx)
 		}
 		if need <= e.kv.FreePages() {
 			return evicted
@@ -740,10 +746,13 @@ func (e *Engine) buildInvocation(prefills, decodes []*Request) layer.Invocation 
 }
 
 func (e *Engine) produceToken(r *Request, at time.Duration, res *StepResult) {
+	if invariant.Enabled {
+		e.checkSeqRecord(r)
+	}
 	// Grow the paged cache by the token just generated. Non-paged
 	// systems reserved everything up front.
 	if e.cfg.System.PagedKV {
-		if err := e.kv.Extend(kvcache.SeqID(r.ID), 1); err != nil {
+		if err := e.kv.Grow(r.kv, 1); err != nil {
 			// ensureDecodeCapacity ran before the step; prefill rows
 			// were allocated their full context at admission, so a
 			// failure here is an engine invariant violation.
@@ -770,6 +779,20 @@ func (e *Engine) produceToken(r *Request, at time.Duration, res *StepResult) {
 			EOS:       eos,
 			Gap:       gap,
 		})
+	}
+}
+
+// checkSeqRecord asserts, under the punica_invariants build, that the
+// KvCache record a request carries is the pool's live record for its id
+// and, on paged systems, holds exactly the request's context.
+func (e *Engine) checkSeqRecord(r *Request) {
+	live := e.kv.Lookup(kvcache.SeqID(r.ID))
+	if live == nil || live != r.kv {
+		invariant.Failf("core: request %d carries KvCache record %p, pool holds %p", r.ID, r.kv, live)
+	}
+	if e.cfg.System.PagedKV && live.Tokens() != r.ContextLen() {
+		invariant.Failf("core: request %d KvCache holds %d tokens, context is %d",
+			r.ID, live.Tokens(), r.ContextLen())
 	}
 }
 
@@ -806,7 +829,7 @@ func (e *Engine) finishStep(end time.Duration, res *StepResult) {
 	}
 	if allDone {
 		for _, r := range e.active {
-			e.kv.Release(kvcache.SeqID(r.ID))
+			e.releaseKV(r)
 			e.releaseRequest(r)
 		}
 		e.active = e.active[:0]
@@ -815,7 +838,7 @@ func (e *Engine) finishStep(end time.Duration, res *StepResult) {
 
 func (e *Engine) retire(r *Request, end time.Duration, res *StepResult) {
 	r.FinishedAt = end
-	e.kv.Release(kvcache.SeqID(r.ID))
+	e.releaseKV(r)
 	e.releaseRequest(r)
 	e.stats.Finished++
 	res.Finished = append(res.Finished, r)

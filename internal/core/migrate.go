@@ -43,6 +43,7 @@ func (e *Engine) ExportKV(id int64, now time.Duration) (KVHandle, error) {
 		if err != nil {
 			return KVHandle{}, err
 		}
+		r.kv = nil
 		e.releaseAdapter(r)
 		e.stats.KVExports++
 		return KVHandle{Request: r, KV: h}, nil
@@ -110,6 +111,7 @@ func (e *Engine) ImportKV(h KVHandle, now time.Duration) error {
 		e.releaseAdapter(r)
 		return err
 	}
+	r.kv = e.kv.Lookup(h.KV.Seq)
 	if r.AdmittedAt == 0 {
 		r.AdmittedAt = now
 	}

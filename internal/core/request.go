@@ -11,6 +11,7 @@ package core
 import (
 	"time"
 
+	"punica/internal/kvcache"
 	"punica/internal/lora"
 )
 
@@ -45,6 +46,11 @@ type Request struct {
 	// KvCache is usable once its link transfer completes.
 	kvReady time.Duration
 	hasLoRA bool // adapter acquired from the store (needs release)
+
+	// kv is the request's KvCache sequence record on its current engine,
+	// held from admission or import until release, export or crash, and
+	// nil otherwise. Each decode step grows it without a map lookup.
+	kv *kvcache.Seq
 
 	// lastTokenAt is when the latest token went out while streaming is
 	// set; produceToken derives Token.Gap from it. Eviction, crash

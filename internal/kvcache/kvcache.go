@@ -31,13 +31,21 @@ type Pool struct {
 	bytesPerToken int64
 	totalPages    int
 	freePages     int
-	seqs          map[SeqID]*seqState
+	seqs          map[SeqID]*Seq
 }
 
-type seqState struct {
+// Seq is the page record of one resident sequence. An owner that grows
+// its sequence every step holds the record (Lookup) and reaches it
+// without a map lookup. A record is live from the Allocate or Import of
+// its id until the Release or Export of that id, and must not be used
+// after: a later Allocate of the same id makes a new record.
+type Seq struct {
 	tokens int // token slots in use
 	pages  int // pages allocated (= ceil(tokens/pageSize))
 }
+
+// Tokens returns the token slots the sequence holds.
+func (s *Seq) Tokens() int { return s.tokens }
 
 // NewPool builds a pool over capacityBytes of GPU memory for a model
 // whose KvCache costs bytesPerToken per token. The page count is
@@ -59,7 +67,7 @@ func NewPool(capacityBytes, bytesPerToken int64, pageSize int) *Pool {
 		bytesPerToken: bytesPerToken,
 		totalPages:    total,
 		freePages:     total,
-		seqs:          make(map[SeqID]*seqState),
+		seqs:          make(map[SeqID]*Seq),
 	}
 }
 
@@ -108,7 +116,7 @@ func (p *Pool) Allocate(id SeqID, n int) error {
 		return ErrOutOfMemory
 	}
 	p.freePages -= need
-	p.seqs[id] = &seqState{tokens: n, pages: need}
+	p.seqs[id] = &Seq{tokens: n, pages: need}
 	p.checkAccounting("Allocate")
 	return nil
 }
@@ -122,6 +130,11 @@ func (p *Pool) Extend(id SeqID, n int) error {
 	if !ok {
 		return fmt.Errorf("kvcache: unknown sequence %d", id)
 	}
+	return p.Grow(s, n)
+}
+
+// Grow is Extend on a live record of this pool.
+func (p *Pool) Grow(s *Seq, n int) error {
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative extension %d", n)
 	}
@@ -136,6 +149,11 @@ func (p *Pool) Extend(id SeqID, n int) error {
 	p.checkAccounting("Extend")
 	return nil
 }
+
+// PageFull reports whether the sequence's pages are all full (or it
+// holds none), so that appending one token takes a fresh page:
+// PagesFor(tokens+1) - PagesFor(tokens) == 1, without the divisions.
+func (p *Pool) PageFull(s *Seq) bool { return s.tokens == s.pages*p.pageSize }
 
 // Release frees all pages of sequence id. Releasing an unknown sequence
 // is a no-op so that cancellation races are harmless.
@@ -227,6 +245,10 @@ func (p *Pool) Tokens(id SeqID) int {
 	}
 	return 0
 }
+
+// Lookup returns the live record of sequence id, or nil if it is not
+// resident.
+func (p *Pool) Lookup(id SeqID) *Seq { return p.seqs[id] }
 
 // Has reports whether sequence id is resident.
 func (p *Pool) Has(id SeqID) bool {

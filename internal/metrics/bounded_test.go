@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -269,5 +270,71 @@ func TestTimeSeriesMergeEmpty(t *testing.T) {
 	a.Merge(&empty)
 	if m, c := tsMass(&a); m != 3 || c != 1 {
 		t.Fatalf("no-op merge changed series: (%v,%d)", m, c)
+	}
+}
+
+// sameHistogram fails unless a and b answer every query with the same
+// bits: count, mean, extrema, the quantiles at 0, 1, 50, 99 and 100,
+// and the form (exact or spilled).
+func sameHistogram(t *testing.T, what string, a, b *Histogram) {
+	t.Helper()
+	if a.Count() != b.Count() || a.Spilled() != b.Spilled() {
+		t.Fatalf("%s: count/spilled %d/%v vs %d/%v", what, a.Count(), a.Spilled(), b.Count(), b.Spilled())
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.Mean(), b.Mean()) || !same(a.Min(), b.Min()) || !same(a.Max(), b.Max()) {
+		t.Fatalf("%s: mean/min/max %v/%v/%v vs %v/%v/%v", what,
+			a.Mean(), a.Min(), a.Max(), b.Mean(), b.Min(), b.Max())
+	}
+	for _, p := range []float64{0, 1, 50, 99, 100} {
+		if x, y := a.Percentile(p), b.Percentile(p); !same(x, y) {
+			t.Fatalf("%s: p%g %v vs %v", what, p, x, y)
+		}
+	}
+}
+
+// TestAddNMatchesRepeatedAdd checks that AddN(d.Seconds(), n) leaves the
+// histogram bit-identical to n AddDuration(d) calls — on an empty
+// histogram and on partly filled ones, for n on both sides of the
+// 4096-sample spill and crossing it inside one call — and that merging
+// either into a third histogram gives the same result.
+func TestAddNMatchesRepeatedAdd(t *testing.T) {
+	// Gap-like durations whose float sums depend on addition order.
+	prior := []time.Duration{13_697_853, 24_635_464, 9_999_991}
+	const d = 19_042_969 * time.Nanosecond
+	for _, filled := range []int{0, 1000, 4000} {
+		for _, n := range []int{1, 95, 96, 4095, 4096, 4097, 9000} {
+			var one, each Histogram
+			for i := 0; i < filled; i++ {
+				v := prior[i%len(prior)]
+				one.AddDuration(v)
+				each.AddDuration(v)
+			}
+			one.AddN(d.Seconds(), n)
+			for i := 0; i < n; i++ {
+				each.AddDuration(d)
+			}
+			what := fmt.Sprintf("filled=%d n=%d", filled, n)
+			sameHistogram(t, what, &one, &each)
+			// A later sample on top, so the insert is not only the tail.
+			one.AddDuration(prior[0])
+			each.AddDuration(prior[0])
+			sameHistogram(t, what+" then one more", &one, &each)
+
+			var mergedOne, mergedEach Histogram
+			for i := 0; i < 300; i++ {
+				mergedOne.AddDuration(prior[i%len(prior)])
+				mergedEach.AddDuration(prior[i%len(prior)])
+			}
+			mergedOne.Merge(&one)
+			mergedEach.Merge(&each)
+			sameHistogram(t, what+" merged", &mergedOne, &mergedEach)
+		}
+	}
+	var h Histogram
+	h.AddN(1, 0)
+	h.AddN(1, -3)
+	if h.Count() != 0 {
+		t.Fatalf("AddN with n <= 0 recorded %d samples", h.Count())
 	}
 }

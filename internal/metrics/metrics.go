@@ -72,17 +72,47 @@ func (h *Histogram) Add(v float64) {
 		}
 		return
 	}
-	h.bucketAdd(v)
+	h.bucketAdd(v, 1)
 }
 
 // AddDuration records a duration sample in seconds.
 func (h *Histogram) AddDuration(d time.Duration) { h.Add(d.Seconds()) }
 
+// AddN records n samples of value v, bit-identical to n calls of Add(v):
+// count, min, max and the bucket change once, and v is added to the sum
+// n times, in order, so Mean keeps the same float.
+func (h *Histogram) AddN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count += int64(n)
+	for range n {
+		h.sum += v
+	}
+	if h.buckets == nil {
+		if len(h.samples)+n <= histSpillAt {
+			for range n {
+				h.samples = append(h.samples, v)
+			}
+			h.sorted = false
+			return
+		}
+		h.spill()
+	}
+	h.bucketAdd(v, int64(n))
+}
+
 // spill converts the exact sample vector into the bounded bucket form.
 func (h *Histogram) spill() {
 	h.buckets = make([]int64, histBuckets)
 	for _, v := range h.samples {
-		h.bucketAdd(v)
+		h.bucketAdd(v, 1)
 	}
 	h.samples = nil
 	h.sorted = false
@@ -92,16 +122,16 @@ func (h *Histogram) spill() {
 // (approximate-quantile) form.
 func (h *Histogram) Spilled() bool { return h.buckets != nil }
 
-func (h *Histogram) bucketAdd(v float64) {
+func (h *Histogram) bucketAdd(v float64, n int64) {
 	if v == 0 {
-		h.zeros++
+		h.zeros += n
 		return
 	}
 	if v < 0 {
-		h.negs++
+		h.negs += n
 		return
 	}
-	h.buckets[bucketIndex(v)]++
+	h.buckets[bucketIndex(v)] += n
 }
 
 // bucketIndex maps a positive value to its log bucket: v = frac·2^exp
@@ -164,7 +194,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		return
 	}
 	for _, v := range other.samples {
-		h.bucketAdd(v)
+		h.bucketAdd(v, 1)
 	}
 }
 

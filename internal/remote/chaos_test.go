@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,15 +71,23 @@ func TestClientProbe(t *testing.T) {
 // stream re-attaches and completes — every index exactly once, EOS
 // delivered — instead of erroring the run.
 func TestFrontendSurvivesRunnerDeath(t *testing.T) {
-	// Slow enough (low speedup) that generation is running when the
-	// runner dies.
 	cfgA := runnerConfig()
 	rA := NewRunner("rA", cfgA, 50)
 	srvA := httptest.NewServer(rA.Handler())
 	t.Cleanup(func() { srvA.Close(); rA.Close() })
 	cfgB := runnerConfig()
 	rB := NewRunner("rB", cfgB, 50)
-	srvB := httptest.NewServer(rB.Handler())
+	// Kill the owning runner once its token stream has begun: the first
+	// write to runner B's /runner/stream response closes srvB, so the
+	// generation is still running when the runner dies.
+	var srvB *httptest.Server
+	killed := make(chan struct{})
+	srvB = httptest.NewServer(onFirstStreamWrite(rB.Handler(), func() {
+		go func() {
+			srvB.Close()
+			close(killed)
+		}()
+	}))
 	// srvB is killed mid-test; Close is idempotent.
 	t.Cleanup(srvB.Close)
 	t.Cleanup(rB.Close)
@@ -106,14 +115,6 @@ func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("generate -> %d", resp.StatusCode)
 	}
-
-	// Kill the owning runner once a few tokens have streamed.
-	killed := make(chan struct{})
-	go func() {
-		time.Sleep(80 * time.Millisecond)
-		srvB.Close()
-		close(killed)
-	}()
 
 	var events []TokenEvent
 	sc := bufio.NewScanner(resp.Body)
@@ -156,6 +157,39 @@ func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 	}
 	if stats.GPUFailures != 1 || stats.Recovered < 1 || len(stats.FailedRunners) != 1 {
 		t.Fatalf("stats = %+v, want 1 failure and >=1 recovery", stats)
+	}
+}
+
+// onFirstStreamWrite wraps a runner's handler so that fn runs once,
+// just before the first write to any /runner/stream response: a fault
+// started there lands while a generation is streaming, however fast the
+// host runs it. A wall-clock timer cannot promise that; under -race a
+// short generation may finish before the timer fires.
+func onFirstStreamWrite(h http.Handler, fn func()) http.Handler {
+	var once sync.Once
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/runner/stream" {
+			w = &firstWriteHook{ResponseWriter: w, once: &once, fn: fn}
+		}
+		h.ServeHTTP(w, req)
+	})
+}
+
+type firstWriteHook struct {
+	http.ResponseWriter
+	once *sync.Once
+	fn   func()
+}
+
+func (w *firstWriteHook) Write(p []byte) (int, error) {
+	w.once.Do(w.fn)
+	return w.ResponseWriter.Write(p)
+}
+
+// Flush keeps the stream flushing through the wrapper.
+func (w *firstWriteHook) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }
 

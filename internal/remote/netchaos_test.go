@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,17 +28,29 @@ func TestStreamReattachAcrossPartitionHeal(t *testing.T) {
 	srvA := httptest.NewServer(rA.Handler())
 	t.Cleanup(func() { srvA.Close(); rA.Close() })
 	rB := NewRunner("nfB", runnerConfig(), 50)
-	srvB := httptest.NewServer(rB.Handler())
+	var streamStart atomic.Int64 // B's first stream write, Unix ns; 0 before it
+	srvB := httptest.NewServer(onFirstStreamWrite(rB.Handler(), func() {
+		streamStart.Store(time.Now().UnixNano())
+	}))
 	t.Cleanup(func() { srvB.Close(); rB.Close() })
 
 	// §5.1 routing sends the first request to the highest-UUID runner:
 	// runner-01 (srvB, link 1) — the link we partition. Window: clean
-	// for 100ms, hard partition for 5s, 1s heal ramp.
-	plan, err := ParseNetFaultPlan("seed=1; part=at:100ms,hold:5s,heal:1s,link:1")
+	// for 1ms, hard partition for 5s, 1s heal ramp. The plan's clock
+	// stands at 0 until runner B first writes to its /runner/stream
+	// response, so the partition opens 1ms into the token stream while
+	// the generation is still running.
+	plan, err := ParseNetFaultPlan("seed=1; part=at:1ms,hold:5s,heal:1s,link:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := NewNetFaultInjector(plan)
+	inj.now = func() time.Duration {
+		if at := streamStart.Load(); at != 0 {
+			return time.Since(time.Unix(0, at))
+		}
+		return 0
+	}
 
 	f := NewFrontendWithOptions([]string{srvA.URL, srvB.URL}, FrontendOptions{
 		DrainInterval:   10 * time.Millisecond,

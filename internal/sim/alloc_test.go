@@ -26,6 +26,27 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScheduleReservedZeroAlloc guards the reserved-position push: it
+// shares Schedule's pooled events and must not allocate either.
+func TestScheduleReservedZeroAlloc(t *testing.T) {
+	c := NewVirtualClock()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		c.Schedule(time.Duration(i), fn)
+	}
+	c.RunAll()
+	first := c.Reserve(2000)
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.ScheduleReserved(c.Now()+time.Microsecond, first+i, fn)
+		i++
+		c.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("VirtualClock.ScheduleReserved+Step allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestEventOrderAfterRecycle pins that free-list recycling does not
 // corrupt ordering: interleaved schedules at equal and distinct times
 // still run in (time, FIFO) order.

@@ -44,10 +44,40 @@ func (c *VirtualClock) Now() time.Duration { return c.now }
 //
 //punica:zeroalloc event scheduling recycles pooled events in steady state
 func (c *VirtualClock) Schedule(at time.Duration, fn func()) {
+	c.seq++
+	c.schedule(at, c.seq, fn)
+}
+
+// Reserve sets aside n consecutive scheduling positions and returns the
+// first; the block ends at first+n-1. An event later scheduled into
+// position first+i with ScheduleReserved runs exactly where it would
+// have run had it been scheduled now, i-th of n: after every event
+// already scheduled for its instant and before every event scheduled
+// for that instant after this call. A stream of events (a trace's
+// arrivals) can so keep one pending event at a time and still fire in
+// the order of scheduling them all up front.
+func (c *VirtualClock) Reserve(n int) (first int64) {
+	first = c.seq + 1
+	c.seq += int64(n)
+	return first
+}
+
+// ScheduleReserved enqueues fn at absolute time at in position seq, one
+// of the positions a Reserve call set aside; each may be used once.
+// Scheduling in the past is clamped to now, as with Schedule.
+//
+//punica:zeroalloc shares Schedule's pooled push
+func (c *VirtualClock) ScheduleReserved(at time.Duration, seq int64, fn func()) {
+	c.schedule(at, seq, fn)
+}
+
+// schedule pushes fn at (at, seq) on a pooled event.
+//
+//punica:zeroalloc event scheduling recycles pooled events in steady state
+func (c *VirtualClock) schedule(at time.Duration, seq int64, fn func()) {
 	if at < c.now {
 		at = c.now
 	}
-	c.seq++
 	var ev *event
 	if n := len(c.free); n > 0 {
 		ev = c.free[n-1]
@@ -56,7 +86,7 @@ func (c *VirtualClock) Schedule(at time.Duration, fn func()) {
 	} else {
 		ev = new(event) //punica:alloc-ok pool miss: grows the event pool once, recycled thereafter
 	}
-	ev.at, ev.seq, ev.fn = at, c.seq, fn
+	ev.at, ev.seq, ev.fn = at, seq, fn
 	c.push(ev)
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -96,5 +97,80 @@ func TestWallClockMonotonic(t *testing.T) {
 	b := c.Now()
 	if b < a {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
+	}
+}
+
+// TestScheduleReservedMatchesUpFront streams a batch of events through
+// reserved positions, one pending at a time, and checks they interleave
+// with other events exactly as when the batch is scheduled up front:
+// the batch runs in order of max(at, 0), then index; at a shared
+// instant it runs after the events scheduled before the reservation and
+// before those scheduled after it, the ones its own events schedule
+// included.
+func TestScheduleReservedMatchesUpFront(t *testing.T) {
+	rng := NewRNG(5)
+	const n = 200
+	ats := make([]time.Duration, n)
+	for i := range ats {
+		// Few distinct instants, some before t=0, in no order.
+		ats[i] = time.Duration(rng.Intn(12)-2) * time.Millisecond
+	}
+	run := func(stream bool) []int {
+		c := NewVirtualClock()
+		var got []int
+		note := func(id int) func() { return func() { got = append(got, id) } }
+		for k := 0; k < 5; k++ { // scheduled before the batch
+			c.Schedule(time.Duration(k*2)*time.Millisecond, note(-1-k))
+		}
+		fire := func(i int) {
+			got = append(got, i)
+			if i%7 == 0 { // a batch event scheduling follow-ups at its instant
+				c.Schedule(c.Now(), note(1000+i))
+			}
+		}
+		if stream {
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			key := func(i int) time.Duration { return max(ats[i], 0) }
+			sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
+			first := c.Reserve(n)
+			next := 0
+			var arrive func()
+			push := func() {
+				if next < n {
+					i := order[next]
+					c.ScheduleReserved(ats[i], first+int64(i), arrive)
+				}
+			}
+			arrive = func() {
+				i := order[next]
+				next++
+				push()
+				fire(i)
+			}
+			push()
+		} else {
+			for i := range ats {
+				i := i
+				c.Schedule(ats[i], func() { fire(i) })
+			}
+		}
+		for k := 0; k < 5; k++ { // scheduled after the batch
+			c.Schedule(time.Duration(k*2+1)*time.Millisecond, note(-100-k))
+			c.Schedule(time.Duration(k*2)*time.Millisecond, note(-200-k))
+		}
+		c.RunAll()
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("streamed run fired %d events, up-front run %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: streamed run fired %d, up-front run %d", i, got[i], want[i])
+		}
 	}
 }
