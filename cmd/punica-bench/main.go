@@ -49,6 +49,7 @@ var (
 	coldstartBaselineFlag = flag.String("coldstart-baseline", "", "coldstart: committed BENCH_coldstart.json to gate against; the run fails if throughput or the naive-vs-predist cold-start p99 gain regresses past -regress-threshold")
 
 	overloadBaselineFlag = flag.String("overload-baseline", "", "overload: committed BENCH_overload.json to gate against; the run fails if the shedding-on vs -off goodput retention regresses past -regress-threshold")
+	overloadSpeedupFlag  = flag.Float64("overload-speedup", 0, "overload: wall-clock speedup of the live serving runs (default 50)")
 
 	soakHorizonFlag = flag.Duration("soak-horizon", 0, "soak: override the simulated horizon (default 2h)")
 )
@@ -376,8 +377,8 @@ func run(name string) error {
 		// The sweep replays open-loop traffic through the live HTTP
 		// stack in wall time; the defaults are pinned so the committed
 		// BENCH_overload.json baseline is comparable run-to-run. Only an
-		// explicit -seed overrides them.
-		var oopts experiments.OverloadOptions
+		// explicit -seed or -overload-speedup overrides them.
+		oopts := experiments.OverloadOptions{Speedup: *overloadSpeedupFlag}
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "seed" {
 				oopts.Seed = *seedFlag

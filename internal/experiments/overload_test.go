@@ -49,6 +49,14 @@ func TestOverloadSmoke(t *testing.T) {
 	if off.Completed == 0 || on.Completed == 0 {
 		t.Fatalf("no completions: off %d, on %d", off.Completed, on.Completed)
 	}
+	// Both rows carry the offline sim of the factor's one trace.
+	if off.SimQueuePeak <= 0 || off.SimP99 <= 0 {
+		t.Fatalf("sim columns empty: queue peak %d, p99 %v", off.SimQueuePeak, off.SimP99)
+	}
+	if on.SimQueuePeak != off.SimQueuePeak || on.SimP99 != off.SimP99 {
+		t.Fatalf("off/on rows carry different sims: %d/%v vs %d/%v",
+			off.SimQueuePeak, off.SimP99, on.SimQueuePeak, on.SimP99)
+	}
 	// The unbounded legacy queue never refuses; at 4x it must outgrow
 	// the cap the shedding run is held to.
 	if off.HTTP429 != 0 {

@@ -72,11 +72,11 @@ func TestClientProbe(t *testing.T) {
 // delivered — instead of erroring the run.
 func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 	cfgA := runnerConfig()
-	rA := NewRunner("rA", cfgA, 50)
+	rA := NewRunner("rA", cfgA, faultSpeedup)
 	srvA := httptest.NewServer(rA.Handler())
 	t.Cleanup(func() { srvA.Close(); rA.Close() })
 	cfgB := runnerConfig()
-	rB := NewRunner("rB", cfgB, 50)
+	rB := NewRunner("rB", cfgB, faultSpeedup)
 	// Kill the owning runner once its token stream has begun: the first
 	// write to runner B's /runner/stream response closes srvB, so the
 	// generation is still running when the runner dies.
@@ -105,7 +105,7 @@ func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 
 	// §5.1 routing sends the first request to the highest-UUID runner:
 	// runner-01 (srvB) — the one we kill.
-	const maxTokens = 160
+	const maxTokens = faultTokens
 	body, _ := json.Marshal(serve.GenerateRequest{Model: 3, PromptLen: 64, MaxTokens: maxTokens})
 	resp, err := http.Post(front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -159,6 +159,17 @@ func TestFrontendSurvivesRunnerDeath(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 failure and >=1 recovery", stats)
 	}
 }
+
+// The fault tests size their generation to outlast failure detection
+// (two failed 20 ms health probes, ~40 ms) at least 5×: a decode step
+// models ~12 ms, so faultTokens at faultSpeedup stream for about
+// 160 × 12 ms ÷ 5 ≈ 380 ms of wall time. The runners pace at the
+// modelled rate, so nothing but this sizing keeps the generation running
+// until the frontend declares its runner failed.
+const (
+	faultTokens  = 160
+	faultSpeedup = 5
+)
 
 // onFirstStreamWrite wraps a runner's handler so that fn runs once,
 // just before the first write to any /runner/stream response: a fault

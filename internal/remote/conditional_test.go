@@ -11,6 +11,10 @@ import (
 	"punica/internal/models"
 )
 
+// conditionalTestRunner's speedup keeps TestClientFetchStateRevalidates'
+// 256-token generation running for ~150 ms of wall time (256 × ~12 ms
+// decode step ÷ 20): the runner paces at the modelled rate, and the
+// test's 5 ms state polls must see the request while it is in flight.
 func conditionalTestRunner(t *testing.T) (*Runner, *httptest.Server) {
 	t.Helper()
 	r := NewRunner("gpu-cond", core.Config{
@@ -18,7 +22,7 @@ func conditionalTestRunner(t *testing.T) (*Runner, *httptest.Server) {
 		GPU:    hw.A100(),
 		Model:  models.Llama2_7B(),
 		Rank:   models.DefaultLoRARank,
-	}, 1000)
+	}, 20)
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(func() {
 		srv.Close()

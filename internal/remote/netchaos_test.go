@@ -24,10 +24,10 @@ import (
 // After the window heals, the injected-fault counters prove the
 // partition (and nothing else) was the failure.
 func TestStreamReattachAcrossPartitionHeal(t *testing.T) {
-	rA := NewRunner("nfA", runnerConfig(), 50)
+	rA := NewRunner("nfA", runnerConfig(), faultSpeedup)
 	srvA := httptest.NewServer(rA.Handler())
 	t.Cleanup(func() { srvA.Close(); rA.Close() })
-	rB := NewRunner("nfB", runnerConfig(), 50)
+	rB := NewRunner("nfB", runnerConfig(), faultSpeedup)
 	var streamStart atomic.Int64 // B's first stream write, Unix ns; 0 before it
 	srvB := httptest.NewServer(onFirstStreamWrite(rB.Handler(), func() {
 		streamStart.Store(time.Now().UnixNano())
@@ -64,7 +64,7 @@ func TestStreamReattachAcrossPartitionHeal(t *testing.T) {
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
 
-	const maxTokens = 160
+	const maxTokens = faultTokens
 	body, _ := json.Marshal(serve.GenerateRequest{Model: 3, PromptLen: 64, MaxTokens: maxTokens})
 	resp, err := http.Post(front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -15,14 +15,14 @@ import (
 
 	"punica/internal/core"
 	"punica/internal/lora"
+	"punica/internal/serve"
 )
 
 // Runner hosts one GPU engine behind the runner HTTP API. It paces
 // simulated invocation latencies in wall time (Speedup 1 = realistic)
 // and streams tokens per request.
 type Runner struct {
-	uuid    string
-	speedup float64
+	uuid string
 	// bootID is a per-process nonce mixed into the /runner/state ETag:
 	// a restarted runner's engine recounts versions from zero, and
 	// without the nonce a client that cached "v42" from the previous
@@ -42,9 +42,11 @@ type Runner struct {
 	// but kept resident so a late or lagging reader can still drain the
 	// buffered tokens; guards against double close.
 	streamDone map[int64]bool
-	start      time.Time
-	closed     bool
-	wg         sync.WaitGroup
+	// pace is the runner's clock; the driver paces its steps on its own
+	// copy.
+	pace   serve.Pacer
+	closed bool
+	wg     sync.WaitGroup
 	// lastFinishAt/finishGap track the EWMA inter-finish gap (sim
 	// seconds): the drain-rate estimate behind Retry-After on 503s.
 	lastFinishAt time.Duration
@@ -73,19 +75,18 @@ func NewRunner(uuid string, cfg core.Config, speedup float64) *Runner {
 	BootEntropy(nonce[:])
 	r := &Runner{
 		uuid:       uuid,
-		speedup:    speedup,
 		bootID:     hex.EncodeToString(nonce[:]),
 		idem:       newIdemTable(idemTableCapacity),
 		streams:    make(map[int64]chan core.Token),
 		streamDone: make(map[int64]bool),
-		start:      time.Now(),
+		pace:       serve.NewPacer(speedup),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	cfg.OnToken = r.onToken
 	cfg.OnFinish = r.onFinish
 	r.eng = core.NewEngine(cfg)
 	r.wg.Add(1)
-	go r.drive()
+	go r.drive(r.pace)
 	return r
 }
 
@@ -115,10 +116,6 @@ func (r *Runner) closeStream(id int64) {
 	}
 }
 
-func (r *Runner) simNow() time.Duration {
-	return time.Duration(float64(time.Since(r.start)) * r.speedup)
-}
-
 func (r *Runner) onToken(tok core.Token) {
 	if ch, ok := r.streams[tok.RequestID]; ok {
 		select {
@@ -135,7 +132,7 @@ func (r *Runner) onToken(tok core.Token) {
 // Retry-After on 503 refusals. Runs with r.mu held (engine callback).
 func (r *Runner) onFinish(req *core.Request) {
 	r.closeStream(req.ID)
-	now := r.simNow()
+	now := r.pace.SimNow()
 	if r.lastFinishAt > 0 {
 		if gap := (now - r.lastFinishAt).Seconds(); gap > 0 {
 			const alpha = 0.2
@@ -156,7 +153,8 @@ func (r *Runner) retryAfterSecs() int {
 	if r.finishGap <= 0 {
 		return 1
 	}
-	secs := int(math.Ceil(r.finishGap / r.speedup))
+	gap := time.Duration(r.finishGap * float64(time.Second))
+	secs := int(math.Ceil(r.pace.WallDelay(gap).Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
@@ -169,16 +167,16 @@ func (r *Runner) retryAfterSecs() int {
 // drive runs invocations back-to-back, pacing simulated latency into
 // wall time. Requests evicted under memory pressure are re-enqueued
 // locally (the scheduler can additionally migrate via /runner/evict).
-func (r *Runner) drive() {
+func (r *Runner) drive(pace serve.Pacer) {
 	defer r.wg.Done()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for !r.closed {
 		if !r.eng.Busy() {
-			r.cond.Wait()
+			pace.Wait(r.cond)
 			continue
 		}
-		now := r.simNow()
+		now := pace.SimNow()
 		res := r.eng.Step(now)
 		for _, ev := range res.Evicted {
 			if err := r.eng.Enqueue(ev, now); err != nil {
@@ -188,30 +186,14 @@ func (r *Runner) drive() {
 		if res.Idle {
 			wake, ok := r.eng.EarliestPendingReady()
 			if !ok {
-				r.cond.Wait()
+				pace.Wait(r.cond)
 				continue
 			}
-			r.sleepLocked(r.wallDelay(wake - now))
+			pace.Sleep(&r.mu, wake-now)
 			continue
 		}
-		r.sleepLocked(r.wallDelay(res.Latency))
+		pace.Step(&r.mu, res.Latency)
 	}
-}
-
-func (r *Runner) wallDelay(d time.Duration) time.Duration {
-	w := time.Duration(float64(d) / r.speedup)
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
-func (r *Runner) sleepLocked(d time.Duration) {
-	r.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	r.mu.Lock()
 }
 
 func (r *Runner) dropStream(id int64) {
@@ -256,7 +238,7 @@ func (r *Runner) handleEnqueue(w http.ResponseWriter, req *http.Request) {
 	if _, ok := r.streams[cr.ID]; !ok {
 		r.streams[cr.ID] = make(chan core.Token, cr.OutputLen+1)
 	}
-	if err := r.eng.Enqueue(cr, r.simNow()); err != nil {
+	if err := r.eng.Enqueue(cr, r.pace.SimNow()); err != nil {
 		r.dropStream(cr.ID)
 		// Adapter-store backpressure is transient: report 503 so the
 		// remote scheduler requeues instead of failing the request, with
@@ -296,7 +278,7 @@ func (r *Runner) handleCancel(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	cr := r.eng.Cancel(c.ID, r.simNow())
+	cr := r.eng.Cancel(c.ID, r.pace.SimNow())
 	r.dropStream(c.ID)
 	r.mu.Unlock()
 	reply := CancelReply{Found: cr != nil}
@@ -309,7 +291,7 @@ func (r *Runner) handleCancel(w http.ResponseWriter, req *http.Request) {
 
 func (r *Runner) handleEvict(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
-	cr := r.eng.EvictNewest(r.simNow())
+	cr := r.eng.EvictNewest(r.pace.SimNow())
 	if cr != nil {
 		r.dropStream(cr.ID)
 	}
@@ -329,7 +311,7 @@ func (r *Runner) handleEvict(w http.ResponseWriter, _ *http.Request) {
 // from a runner it is about to declare failed.
 func (r *Runner) handleDrain(w http.ResponseWriter, _ *http.Request) {
 	r.mu.Lock()
-	lost, lostKV := r.eng.Crash(r.simNow())
+	lost, lostKV := r.eng.Crash(r.pace.SimNow())
 	for _, req := range lost {
 		r.dropStream(req.ID)
 	}
@@ -377,7 +359,7 @@ func (r *Runner) handleKVExport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	h, err := r.eng.ExportKV(er.ID, r.simNow())
+	h, err := r.eng.ExportKV(er.ID, r.pace.SimNow())
 	if err == nil {
 		// Close-but-keep, like onFinish: buffered tokens stay drainable.
 		r.closeStream(er.ID)
@@ -414,7 +396,7 @@ func (r *Runner) handleKVImport(w http.ResponseWriter, req *http.Request) {
 		r.streams[id] = make(chan core.Token, h.Request.OutputLen+1)
 		delete(r.streamDone, id)
 	}
-	if err := r.eng.ImportKV(h, r.simNow()); err != nil {
+	if err := r.eng.ImportKV(h, r.pace.SimNow()); err != nil {
 		r.dropStream(id)
 		status := http.StatusConflict
 		if errors.Is(err, lora.ErrStoreFull) {
@@ -450,7 +432,7 @@ func (r *Runner) handlePrefetch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	ok := r.eng.PrefetchAdapter(lora.ModelID(pr.Model), r.simNow())
+	ok := r.eng.PrefetchAdapter(lora.ModelID(pr.Model), r.pace.SimNow())
 	r.mu.Unlock()
 	writeJSON(w, PrefetchReply{Accepted: ok})
 }

@@ -20,7 +20,10 @@ import (
 )
 
 // admissionServer is testServer with caps: one single-slot GPU so the
-// queue fills immediately, and a tiny admission queue.
+// queue fills immediately, and a tiny admission queue. The tests'
+// 4096-token generations hold the slot for ~190 ms of wall time
+// (4096 × ~12 ms decode step ÷ speedup 250), many times longer than a
+// test takes to fill the queue and post the request it expects refused.
 func admissionServer(t *testing.T, adm sched.AdmissionConfig, fairness bool) *Server {
 	t.Helper()
 	sys := core.PunicaSystem()
@@ -33,7 +36,7 @@ func admissionServer(t *testing.T, adm sched.AdmissionConfig, fairness bool) *Se
 			Model:  models.Llama2_7B(),
 			Rank:   models.DefaultLoRARank,
 		},
-		Speedup:   5000,
+		Speedup:   250,
 		Fairness:  fairness,
 		Admission: adm,
 	})

@@ -23,7 +23,10 @@ func TestServerSurvivesGPUFailure(t *testing.T) {
 			Model:  models.Llama2_7B(),
 			Rank:   models.DefaultLoRARank,
 		},
-		Speedup: 2000,
+		// A decode step models ~12 ms, so the 300-token generation
+		// lasts ~180 ms of wall time at speedup 20: far longer than the
+		// FailGPU call that follows its first token.
+		Speedup: 20,
 	})
 	defer s.Close()
 
@@ -32,8 +35,20 @@ func TestServerSurvivesGPUFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// §5.1 tie-break places the first request on the highest UUID.
-	time.Sleep(30 * time.Millisecond) // let generation start
+	deadline := time.After(30 * time.Second)
+	// Fail the GPU on stream progress, not on a timer: the first token
+	// proves the request is generating. §5.1 tie-break places the first
+	// request on the highest UUID.
+	var indices []int
+	select {
+	case tok, open := <-ch:
+		if !open {
+			t.Fatal("stream closed before its first token")
+		}
+		indices = append(indices, tok.Index)
+	case <-deadline:
+		t.Fatal("no first token")
+	}
 	if !s.FailGPU("gpu-01") {
 		t.Fatal("FailGPU did not find gpu-01")
 	}
@@ -41,8 +56,6 @@ func TestServerSurvivesGPUFailure(t *testing.T) {
 		t.Fatal("second FailGPU of the same UUID must report not found")
 	}
 
-	var indices []int
-	deadline := time.After(30 * time.Second)
 	for {
 		select {
 		case tok, open := <-ch:

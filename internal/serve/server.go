@@ -73,10 +73,11 @@ type Server struct {
 	engines map[*sched.GPU]*core.Engine
 	streams map[int64]chan core.Token
 	nextID  int64
-	start   time.Time
-	speedup float64
-	closed  bool
-	wg      sync.WaitGroup
+	// pace is the deployment's clock; each GPU driver paces its steps
+	// on its own copy.
+	pace   Pacer
+	closed bool
+	wg     sync.WaitGroup
 
 	// Fault accounting (FailGPU).
 	failures  int64
@@ -111,8 +112,7 @@ func New(cfg Config) *Server {
 		engines: make(map[*sched.GPU]*core.Engine),
 		streams: make(map[int64]chan core.Token),
 		shed:    make(map[int64]bool),
-		start:   time.Now(),
-		speedup: cfg.Speedup,
+		pace:    NewPacer(cfg.Speedup),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.NumGPUs; i++ {
@@ -146,23 +146,9 @@ func New(cfg Config) *Server {
 	s.sch.OnShed = s.onShed
 	for _, g := range s.gpus {
 		s.wg.Add(1)
-		go s.drive(g)
+		go s.drive(g, s.pace)
 	}
 	return s
-}
-
-// simNow converts elapsed wall time into simulation time.
-func (s *Server) simNow() time.Duration {
-	return time.Duration(float64(time.Since(s.start)) * s.speedup)
-}
-
-// wallDelay converts a simulated duration into wall time.
-func (s *Server) wallDelay(d time.Duration) time.Duration {
-	w := time.Duration(float64(d) / s.speedup)
-	if w < 0 {
-		return 0
-	}
-	return w
 }
 
 // onToken runs inside Engine.Step with s.mu held.
@@ -217,7 +203,7 @@ func (s *Server) RetryAfter() time.Duration {
 }
 
 func (s *Server) retryAfterLocked() time.Duration {
-	w := s.wallDelay(s.sch.RetryAfterHint(1))
+	w := s.pace.WallDelay(s.sch.RetryAfterHint(1))
 	if w < time.Second {
 		w = time.Second
 	}
@@ -253,7 +239,7 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 	id := s.nextID
 	ch := make(chan core.Token, outputLen+1)
 	s.streams[id] = ch
-	now := s.simNow()
+	now := s.pace.SimNow()
 	r := &core.Request{
 		ID:        id,
 		Model:     lora.ModelID(model),
@@ -279,7 +265,7 @@ func (s *Server) SubmitTenant(model, tenant int64, promptLen, outputLen int) (in
 func (s *Server) FailGPU(uuid string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.simNow()
+	now := s.pace.SimNow()
 	g, lost, _, ok := s.sch.FailGPU(uuid, now)
 	if !ok {
 		return false
@@ -306,7 +292,7 @@ func (s *Server) FailGPU(uuid string) bool {
 func (s *Server) Cancel(id int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.simNow()
+	now := s.pace.SimNow()
 	found := false
 	for _, g := range s.gpus {
 		if g.Engine.Cancel(id, now) != nil {
@@ -385,7 +371,7 @@ func (s *Server) Snapshot() Stats {
 	st := Stats{
 		QueueLen:          s.sch.QueueLen(),
 		Streams:           len(s.streams),
-		SimTime:           s.simNow().Seconds(),
+		SimTime:           s.pace.SimNow().Seconds(),
 		NeedMore:          s.sch.NeedMoreGPUs(),
 		Releasable:        len(s.sch.ReleasableGPUs()),
 		GPUFailures:       s.failures,
@@ -441,17 +427,17 @@ func (s *Server) Close() {
 
 // drive is the per-GPU runner loop: run invocations back-to-back, pace
 // them in wall time, and hand scheduler work back after each step.
-func (s *Server) drive(g *sched.GPU) {
+func (s *Server) drive(g *sched.GPU, pace Pacer) {
 	defer s.wg.Done()
 	eng := s.engines[g]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
 		if !eng.Busy() {
-			s.cond.Wait()
+			pace.Wait(s.cond)
 			continue
 		}
-		now := s.simNow()
+		now := pace.SimNow()
 		res := eng.Step(now)
 		for _, ev := range res.Evicted {
 			if _, err := s.sch.Reschedule(ev, g, now); err != nil {
@@ -462,10 +448,10 @@ func (s *Server) drive(g *sched.GPU) {
 			wake, ok := eng.EarliestPendingReady()
 			if !ok {
 				// Nothing loadable; wait for scheduler activity.
-				s.cond.Wait()
+				pace.Wait(s.cond)
 				continue
 			}
-			s.sleepLocked(s.wallDelay(wake - now))
+			pace.Sleep(&s.mu, wake-now)
 			continue
 		}
 		if g.Role == core.RolePrefill {
@@ -473,27 +459,19 @@ func (s *Server) drive(g *sched.GPU) {
 			// to the decode pool (KvCache moved, not recomputed). The
 			// in-process token streams carry over untouched — indices
 			// simply continue on the new engine.
-			if dsts, err := s.sch.MigratePrefilled(g, s.simNow()); err == nil && len(dsts) > 0 {
+			if dsts, err := s.sch.MigratePrefilled(g, pace.SimNow()); err == nil && len(dsts) > 0 {
 				s.cond.Broadcast()
 			}
 		}
 		if len(res.Finished) > 0 || len(res.Evicted) > 0 {
-			if _, err := s.sch.DrainQueue(s.simNow()); err == nil {
+			if _, err := s.sch.DrainQueue(pace.SimNow()); err == nil {
 				s.cond.Broadcast()
 			}
 		}
-		s.sleepLocked(s.wallDelay(res.Latency))
+		// Closing the server does not interrupt an in-flight pacing
+		// sleep; Close waits for it.
+		pace.Step(&s.mu, res.Latency)
 	}
-}
-
-// sleepLocked releases the lock for a wall-clock sleep. Closing the
-// server does not interrupt an in-flight sleep; Close waits for it.
-func (s *Server) sleepLocked(d time.Duration) {
-	s.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	s.mu.Lock()
 }
 
 func (s *Server) dropRequest(id int64) {
