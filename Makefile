@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt check bench replay-profile experiments scale scale-check scale-baseline shuffle fuzz invariants soak traffic-check traffic-baseline coldstart-check coldstart-baseline overload-check overload-baseline
+.PHONY: all build test race vet lint fmt check bench replay-profile experiments scale scale-baseline shuffle fuzz invariants soak bench-check traffic-baseline coldstart-baseline overload-baseline
 
 all: check
 
@@ -92,12 +92,19 @@ experiments:
 scale:
 	$(GO) run ./cmd/punica-bench -scale-gpus 16,64,256 -scale-requests 100000 scale
 
-# scale-check re-runs the CI slice sharded (-parallel 4) and fails on a
-# >20% events/sec regression against the committed baseline
-# (bench/BENCH_scale.json, DESIGN.md §11).
-scale-check:
+# bench-check runs the four regression gates against their committed
+# records in bench/: scale at the CI slice, sharded (-parallel 4), then
+# traffic, coldstart and overload. Each gate's metrics and bound sit in
+# cmd/punica-bench's experiment table; punica-bench without arguments
+# lists them. traffic and coldstart are deterministic, so their gates
+# are exact up to the bound; overload replays traffic through the live
+# HTTP stack in wall time, so its bound is generous.
+bench-check:
 	$(GO) run ./cmd/punica-bench -scale-gpus 16,64,256 -scale-requests 100000 -parallel 4 \
-		-baseline bench/BENCH_scale.json -regress-threshold 0.20 scale
+		-check bench/BENCH_scale.json scale
+	$(GO) run ./cmd/punica-bench -check bench/BENCH_traffic.json traffic
+	$(GO) run ./cmd/punica-bench -check bench/BENCH_coldstart.json coldstart
+	$(GO) run ./cmd/punica-bench -check bench/BENCH_overload.json overload
 
 # scale-baseline regenerates the committed baseline after intentional
 # performance changes.
@@ -111,37 +118,15 @@ scale-baseline:
 soak:
 	$(GO) run ./cmd/punica-bench soak
 
-# traffic-check replays the flash-crowd fairness sweep and fails if
-# throughput, the off/on stall-skew ratio, or the tail-p99 gain
-# regresses >20% against the committed baseline. The sweep is fully
-# deterministic, so the gate is exact up to the threshold.
-traffic-check:
-	$(GO) run ./cmd/punica-bench -traffic-baseline bench/BENCH_traffic.json -regress-threshold 0.20 traffic
-
 # traffic-baseline regenerates the committed fairness baseline after
 # intentional scheduler or traffic-engine changes.
 traffic-baseline:
 	$(GO) run ./cmd/punica-bench -json bench/BENCH_traffic.json traffic
 
-# coldstart-check replays the tiered adapter-cache mitigation sweep and
-# fails if throughput or the naive-vs-predist cold-start p99 gain
-# regresses >20% against the committed baseline. The sweep is fully
-# deterministic, so the gate is exact up to the threshold.
-coldstart-check:
-	$(GO) run ./cmd/punica-bench -coldstart-baseline bench/BENCH_coldstart.json -regress-threshold 0.20 coldstart
-
 # coldstart-baseline regenerates the committed cold-start baseline after
 # intentional tier-model or pre-distribution changes.
 coldstart-baseline:
 	$(GO) run ./cmd/punica-bench -json bench/BENCH_coldstart.json coldstart
-
-# overload-check replays open-loop traffic through the live HTTP stack
-# at 1-4x capacity with the admission layer off and on, and fails if the
-# shedding-on vs -off goodput retention regresses >50% against the
-# committed baseline. Unlike the simulated sweeps this one runs in wall
-# time (HTTP, goroutines, pacing sleeps), so the threshold is generous.
-overload-check:
-	$(GO) run ./cmd/punica-bench -overload-baseline bench/BENCH_overload.json -regress-threshold 0.50 overload
 
 # overload-baseline regenerates the committed overload baseline after
 # intentional admission/serving changes.

@@ -5,17 +5,21 @@
 //
 //	punica-bench [flags] <experiment>
 //
-// Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 headline
-// loading ablation-norm ablation-maxbatch ablation-pagesize
-// ablation-prefill ablation-migration ablation-quant autoscale policies
-// faults disagg traffic coldstart soak scale all
+// Run it without arguments to list the experiments and the output flags
+// each takes. "all" runs the paper's figures and ablations; the longer
+// sweeps run alone. -csv writes one experiment's data as CSV, -json
+// writes the bench records of the experiments run, and -check FILE
+// fails the run when a gated metric falls past its bound below the
+// committed record file FILE (bench/BENCH_*.json).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,565 +29,280 @@ import (
 	"punica/internal/models"
 )
 
-var (
-	modelFlag = flag.String("model", "7b", "model for fig11: 7b or 13b")
-	nFlag     = flag.Int("n", 1000, "requests for text-generation experiments")
-	seedFlag  = flag.Int64("seed", 42, "workload seed")
-	gpusFlag  = flag.Int("gpus", 16, "GPUs for fig13")
-	peakFlag  = flag.Float64("peak", 11, "peak request rate (req/s) for fig13")
-	hourFlag  = flag.Bool("full-hour", false, "run fig13 at the paper's full one-hour horizon")
-	csvFlag   = flag.String("csv", "", "also write the figure's data as CSV to this file (fig1,7,8,9,10,11,12,13,scale)")
-	jsonFlag  = flag.String("json", "", "write machine-readable results to this JSON file (fig11,fig12,fig13,policies,faults,disagg,scale)")
-
-	scaleGPUs = flag.String("scale-gpus", "", "comma-separated GPU counts for the scale sweep (default 16,64,256)")
-	scaleReqs = flag.String("scale-requests", "", "comma-separated request counts for the scale sweep (default 10000,100000,1000000)")
-
-	cellsFlag    = flag.Int("cells", 0, "scale: simulation cells per fleet (0 auto: GPUs/32 in [1,16]; 1 forces the classic single-cluster path)")
-	parallelFlag = flag.Int("parallel", 1, "scale: worker goroutines advancing cells between epoch barriers (results are identical for any value)")
-
-	baselineFlag = flag.String("baseline", "", "scale: committed BENCH_scale.json to gate against; the run fails if events/sec regresses past -regress-threshold")
-	regressFlag  = flag.Float64("regress-threshold", 0.20, "scale: fractional events/sec drop vs -baseline that fails the run")
-
-	trafficBaselineFlag = flag.String("traffic-baseline", "", "traffic: committed BENCH_traffic.json to gate against; the run fails if throughput, the off/on stall-skew ratio, or the tail-p99 gain regresses past -regress-threshold")
-
-	coldstartBaselineFlag = flag.String("coldstart-baseline", "", "coldstart: committed BENCH_coldstart.json to gate against; the run fails if throughput or the naive-vs-predist cold-start p99 gain regresses past -regress-threshold")
-
-	overloadBaselineFlag = flag.String("overload-baseline", "", "overload: committed BENCH_overload.json to gate against; the run fails if the shedding-on vs -off goodput retention regresses past -regress-threshold")
-	overloadSpeedupFlag  = flag.Float64("overload-speedup", 0, "overload: wall-clock speedup of the live serving runs (default 50)")
-
-	soakHorizonFlag = flag.Duration("soak-horizon", 0, "soak: override the simulated horizon (default 2h)")
-)
-
-// benchRecords accumulates -json output across the experiments run.
-var benchRecords []experiments.BenchRecord
-
-// writeCSV writes one figure's CSV when -csv is set.
-func writeCSV(write func(io.Writer) error) error {
-	if *csvFlag == "" {
-		return nil
-	}
-	f, err := os.Create(*csvFlag)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "wrote", *csvFlag)
-	return nil
-}
-
 func main() {
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() != 1 {
-		usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, exp := range allExperiments {
-			if err := run(exp); err != nil {
-				fatal(err)
-			}
-		}
-	} else if err := run(name); err != nil {
-		fatal(err)
-	}
-	if err := writeBenchJSON(); err != nil {
-		fatal(err)
+	default:
+		fmt.Fprintln(os.Stderr, "punica-bench:", err)
+		os.Exit(1)
 	}
 }
 
-// writeBenchJSON flushes accumulated machine-readable results when
-// -json was given.
-func writeBenchJSON() error {
-	if *jsonFlag == "" {
-		return nil
-	}
-	f, err := os.Create(*jsonFlag)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteBenchJSON(f, benchRecords); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "wrote", *jsonFlag)
-	return nil
+// errUsage reports a command line the flag package or usage has
+// already explained on stderr.
+var errUsage = errors.New("usage")
+
+// config holds the flag values the experiments read.
+type config struct {
+	model           string
+	n               int
+	seed            int64
+	seedSet         bool // -seed was given: the pinned sweeps keep their own seed otherwise
+	gpus            int
+	peak            float64
+	fullHour        bool
+	scaleGPUs       []int
+	scaleRequests   []int
+	cells           int
+	parallel        int
+	overloadSpeedup float64
+	soakHorizon     time.Duration
 }
 
-var allExperiments = []string{
-	"fig1", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "headline", "loading",
-	"ablation-norm", "ablation-maxbatch", "ablation-pagesize",
-	"ablation-prefill", "ablation-migration", "ablation-quant",
-	"autoscale", "policies", "faults", "disagg",
+// report is what one experiment produces: its text, its CSV writer (nil
+// when it has no CSV) and its bench records.
+type report struct {
+	text    string
+	csv     func(io.Writer) error
+	records []experiments.BenchRecord
 }
 
-func run(name string) error {
-	opts := experiments.TextGenOptions{NumRequests: *nFlag, Seed: *seedFlag}
-	switch name {
-	case "fig1":
-		model, err := models.ByName(*modelFlag)
+// experiment is one entry of the table below.
+type experiment struct {
+	name string
+	// solo describes an experiment "all" skips; it is empty for the
+	// experiments "all" runs.
+	solo string
+	// csv and records say whether run's report carries a CSV writer and
+	// bench records, so -csv and -json are checked before anything runs.
+	csv, records bool
+	gate         gate
+	run          func(*config) (report, error)
+}
+
+// gate is what -check holds an experiment's records to: each metric
+// (every one is higher-is-better) may fall at most bound, a fraction,
+// below its baseline value. An experiment with no metrics has no gate.
+type gate struct {
+	metrics []string
+	bound   float64
+}
+
+// table lists every experiment, those "all" runs first, in its order.
+var table = []experiment{
+	{name: "fig1", csv: true, run: func(c *config) (report, error) {
+		model, err := models.ByName(c.model)
 		if err != nil {
-			return err
+			return report{}, err
 		}
-		points := experiments.Fig1(a100(), model)
-		fmt.Println(experiments.FormatFig1(points))
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig1CSV(w, points) }); err != nil {
-			return err
-		}
-	case "fig6":
-		res, err := experiments.Fig6(min(*nFlag, 256), *seedFlag)
+		return out(experiments.Fig1(hw.A100(), model), nil, experiments.FormatFig1, experiments.Fig1CSV, nil)
+	}},
+	{name: "fig6", run: func(c *config) (report, error) {
+		res, err := experiments.Fig6(min(c.n, 256), c.seed)
+		return out(res, err, experiments.FormatFig6, nil, nil)
+	}},
+	{name: "fig7", csv: true, run: func(*config) (report, error) {
+		return out(experiments.Fig7(), nil, experiments.FormatFig7, experiments.Fig7CSV, nil)
+	}},
+	{name: "fig8", csv: true, run: func(*config) (report, error) {
+		return out(experiments.Fig8(), nil, experiments.FormatFig8, experiments.Fig8CSV, nil)
+	}},
+	{name: "fig9", csv: true, run: func(*config) (report, error) {
+		return out(experiments.Fig9(), nil, experiments.FormatFig9, experiments.Fig9CSV, nil)
+	}},
+	{name: "fig10", csv: true, run: func(*config) (report, error) {
+		return out(experiments.Fig10(), nil, experiments.FormatFig10, experiments.Fig10CSV, nil)
+	}},
+	{name: "fig11", csv: true, records: true, run: func(c *config) (report, error) {
+		model, err := models.ByName(c.model)
 		if err != nil {
-			return err
+			return report{}, err
 		}
-		fmt.Println(experiments.FormatFig6(res))
-	case "fig7":
-		points := experiments.Fig7()
-		fmt.Println(experiments.FormatFig7(points))
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig7CSV(w, points) }); err != nil {
-			return err
-		}
-	case "fig8":
-		points := experiments.Fig8()
-		fmt.Println(experiments.FormatFig8(points))
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig8CSV(w, points) }); err != nil {
-			return err
-		}
-	case "fig9":
-		points := experiments.Fig9()
-		fmt.Println(experiments.FormatFig9(points))
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig9CSV(w, points) }); err != nil {
-			return err
-		}
-	case "fig10":
-		points := experiments.Fig10()
-		fmt.Println(experiments.FormatFig10(points))
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig10CSV(w, points) }); err != nil {
-			return err
-		}
-	case "fig11":
-		model, err := models.ByName(*modelFlag)
+		rows, err := experiments.Fig11(model, c.textGen())
+		title := fmt.Sprintf("Figure 11 — single-GPU text generation (%s, %d requests):", model.Name, c.n)
+		return out(rows, err, titled(title), experiments.Fig11CSV, fig11Records("fig11"))
+	}},
+	{name: "fig12", csv: true, records: true, run: func(c *config) (report, error) {
+		rows, err := experiments.Fig12(c.textGen())
+		title := fmt.Sprintf("Figure 12 — 70B tensor parallel on 8xA100-40G (%d requests):", c.n)
+		return out(rows, err, titled(title), experiments.Fig11CSV, fig11Records("fig12"))
+	}},
+	{name: "fig13", csv: true, records: true, run: func(c *config) (report, error) {
+		res, err := experiments.Fig13(c.fig13())
+		return out(res, err, experiments.FormatFig13, experiments.Fig13CSV, experiments.Fig13Records)
+	}},
+	{name: "headline", run: func(c *config) (report, error) {
+		model, err := models.ByName(c.model)
 		if err != nil {
-			return err
+			return report{}, err
 		}
-		rows, err := experiments.Fig11(model, opts)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 11 — single-GPU text generation (%s, %d requests):",
-			model.Name, opts.NumRequests)
-		fmt.Println(experiments.FormatFig11(title, rows))
-		benchRecords = append(benchRecords, experiments.Fig11Records("fig11", rows)...)
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig11CSV(w, rows) }); err != nil {
-			return err
-		}
-	case "fig12":
-		rows, err := experiments.Fig12(opts)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 12 — 70B tensor parallel on 8xA100-40G (%d requests):",
-			opts.NumRequests)
-		fmt.Println(experiments.FormatFig11(title, rows))
-		benchRecords = append(benchRecords, experiments.Fig11Records("fig12", rows)...)
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig11CSV(w, rows) }); err != nil {
-			return err
-		}
-	case "fig13":
-		o := fig13Options()
-		res, err := experiments.Fig13(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFig13(res))
-		benchRecords = append(benchRecords, experiments.Fig13Records(res)...)
-		if err := writeCSV(func(w io.Writer) error { return experiments.Fig13CSV(w, res) }); err != nil {
-			return err
-		}
-	case "headline":
-		model, err := models.ByName(*modelFlag)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig11(model, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatHeadline(experiments.Headline(rows)))
-	case "loading":
-		fmt.Println(experiments.FormatLoading(experiments.Loading()))
-	case "ablation-norm":
-		fmt.Println(experiments.FormatAblationNorm(experiments.AblationNorm()))
-	case "ablation-maxbatch":
-		points, err := experiments.AblationMaxBatch(min(*nFlag, 400), *seedFlag, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblationMaxBatch(points))
-	case "ablation-pagesize":
-		points, err := experiments.AblationPageSize(min(*nFlag, 300), *seedFlag, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblationPageSize(points))
-	case "ablation-prefill":
-		points, err := experiments.AblationPrefillLimit(min(*nFlag, 400), *seedFlag, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblationPrefillLimit(points))
-	case "ablation-quant":
-		points, err := experiments.AblationQuantization(min(*nFlag, 300), *seedFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblationQuantization(points))
-	case "autoscale":
-		o := fig13Options()
-		if !*hourFlag {
-			o.NumGPUs = 8
-			o.Peak = 6
-			o.RampUp, o.Hold, o.RampDown = 8*time.Minute, 4*time.Minute, 8*time.Minute
-		}
-		res, err := experiments.Autoscale(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAutoscale(res))
-	case "policies":
-		o := experiments.DefaultPolicyCompareOptions()
-		o.Seed = *seedFlag
-		points, err := experiments.ComparePolicies(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatPolicyCompare(points))
-		benchRecords = append(benchRecords, experiments.PolicyRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.PolicyCompareCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	case "faults":
-		o := experiments.DefaultFaultsOptions()
-		o.Seed = *seedFlag
-		points, err := experiments.Faults(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFaults(points))
-		benchRecords = append(benchRecords, experiments.FaultsRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.FaultsCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	case "disagg":
-		o := experiments.DefaultDisaggOptions()
-		o.Seed = *seedFlag
-		points, err := experiments.Disaggregation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatDisaggregation(points))
-		benchRecords = append(benchRecords, experiments.DisaggRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.DisaggregationCSV(w, points)
-		}); err != nil {
-			return err
-		}
-	case "scale":
-		o := experiments.DefaultScaleOptions()
-		o.Seed = *seedFlag
-		if gpus, err := parseIntList(*scaleGPUs); err != nil {
-			return fmt.Errorf("-scale-gpus: %w", err)
-		} else if len(gpus) > 0 {
-			o.GPUs = gpus
-		}
-		if reqs, err := parseIntList(*scaleReqs); err != nil {
-			return fmt.Errorf("-scale-requests: %w", err)
-		} else if len(reqs) > 0 {
-			o.Requests = reqs
-		}
-		o.Cells = *cellsFlag
-		o.Workers = *parallelFlag
-		points, err := experiments.Scale(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatScale(points))
-		benchRecords = append(benchRecords, experiments.ScaleRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.ScaleCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		if err := checkScaleBaseline(experiments.ScaleRecords(points)); err != nil {
-			return err
-		}
-	case "traffic":
-		var topts experiments.TrafficOptions
-		// The default sweep is pinned (seed and all) so the committed
-		// BENCH_traffic.json baseline reproduces exactly; only an
-		// explicit -seed overrides it.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				topts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.Traffic(topts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTraffic(points))
-		benchRecords = append(benchRecords, experiments.TrafficRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.TrafficCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		if err := checkTrafficBaseline(experiments.TrafficRecords(points)); err != nil {
-			return err
-		}
-	case "coldstart":
-		// The default sweep is pinned (seed and all) so the committed
-		// BENCH_coldstart.json baseline reproduces exactly; only an
-		// explicit -seed overrides it.
-		var copts experiments.ColdStartOptions
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				copts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.ColdStart(copts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatColdStart(points))
-		benchRecords = append(benchRecords, experiments.ColdStartRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.ColdStartCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		if err := checkColdStartBaseline(experiments.ColdStartRecords(points)); err != nil {
-			return err
-		}
-	case "overload":
-		// The sweep replays open-loop traffic through the live HTTP
-		// stack in wall time; the defaults are pinned so the committed
-		// BENCH_overload.json baseline is comparable run-to-run. Only an
-		// explicit -seed or -overload-speedup overrides them.
-		oopts := experiments.OverloadOptions{Speedup: *overloadSpeedupFlag}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				oopts.Seed = *seedFlag
-			}
-		})
-		points, err := experiments.Overload(oopts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatOverload(points))
-		benchRecords = append(benchRecords, experiments.OverloadRecords(points)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.OverloadCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		if err := checkOverloadBaseline(experiments.OverloadRecords(points)); err != nil {
-			return err
-		}
-	case "soak":
-		res, err := experiments.Soak(experiments.SoakOptions{
-			Horizon: *soakHorizonFlag, Seed: *seedFlag,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSoak(res))
-		benchRecords = append(benchRecords, experiments.SoakRecords(res)...)
-		if err := writeCSV(func(w io.Writer) error {
-			return experiments.SoakCSV(w, res)
-		}); err != nil {
-			return err
-		}
-	case "ablation-migration":
-		o := fig13Options()
-		if !*hourFlag {
+		rows, err := experiments.Fig11(model, c.textGen())
+		return out(rows, err, func(rows []experiments.Fig11Row) string {
+			return experiments.FormatHeadline(experiments.Headline(rows))
+		}, nil, nil)
+	}},
+	{name: "loading", run: func(*config) (report, error) {
+		return out(experiments.Loading(), nil, experiments.FormatLoading, nil, nil)
+	}},
+	{name: "ablation-norm", run: func(*config) (report, error) {
+		return out(experiments.AblationNorm(), nil, experiments.FormatAblationNorm, nil, nil)
+	}},
+	{name: "ablation-maxbatch", run: func(c *config) (report, error) {
+		points, err := experiments.AblationMaxBatch(min(c.n, 400), c.seed, nil)
+		return out(points, err, experiments.FormatAblationMaxBatch, nil, nil)
+	}},
+	{name: "ablation-pagesize", run: func(c *config) (report, error) {
+		points, err := experiments.AblationPageSize(min(c.n, 300), c.seed, nil)
+		return out(points, err, experiments.FormatAblationPageSize, nil, nil)
+	}},
+	{name: "ablation-prefill", run: func(c *config) (report, error) {
+		points, err := experiments.AblationPrefillLimit(min(c.n, 400), c.seed, nil)
+		return out(points, err, experiments.FormatAblationPrefillLimit, nil, nil)
+	}},
+	{name: "ablation-migration", run: func(c *config) (report, error) {
+		o := c.fig13()
+		if !c.fullHour {
 			o.NumGPUs = 8
 			o.Peak = 6
 			o.RampUp, o.Hold, o.RampDown = 6*time.Minute, 3*time.Minute, 6*time.Minute
 		}
 		res, err := experiments.AblationMigration(o)
-		if err != nil {
-			return err
+		return out(res, err, experiments.FormatAblationMigration, nil, nil)
+	}},
+	{name: "ablation-quant", run: func(c *config) (report, error) {
+		points, err := experiments.AblationQuantization(min(c.n, 300), c.seed)
+		return out(points, err, experiments.FormatAblationQuantization, nil, nil)
+	}},
+	{name: "autoscale", run: func(c *config) (report, error) {
+		o := c.fig13()
+		if !c.fullHour {
+			o.NumGPUs = 8
+			o.Peak = 6
+			o.RampUp, o.Hold, o.RampDown = 8*time.Minute, 4*time.Minute, 8*time.Minute
 		}
-		fmt.Println(experiments.FormatAblationMigration(res))
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	return nil
+		res, err := experiments.Autoscale(o)
+		return out(res, err, experiments.FormatAutoscale, nil, nil)
+	}},
+	{name: "policies", csv: true, records: true, run: func(c *config) (report, error) {
+		o := experiments.DefaultPolicyCompareOptions()
+		o.Seed = c.seed
+		points, err := experiments.ComparePolicies(o)
+		return out(points, err, experiments.FormatPolicyCompare, experiments.PolicyCompareCSV, experiments.PolicyRecords)
+	}},
+	{name: "faults", csv: true, records: true, run: func(c *config) (report, error) {
+		o := experiments.DefaultFaultsOptions()
+		o.Seed = c.seed
+		points, err := experiments.Faults(o)
+		return out(points, err, experiments.FormatFaults, experiments.FaultsCSV, experiments.FaultsRecords)
+	}},
+	{name: "disagg", csv: true, records: true, run: func(c *config) (report, error) {
+		o := experiments.DefaultDisaggOptions()
+		o.Seed = c.seed
+		points, err := experiments.Disaggregation(o)
+		return out(points, err, experiments.FormatDisaggregation, experiments.DisaggregationCSV, experiments.DisaggRecords)
+	}},
+	{name: "scale", solo: "control-plane scale sweep; its full grid runs 1M-request traces",
+		csv: true, records: true, gate: gate{[]string{"events_per_sec"}, 0.20},
+		run: func(c *config) (report, error) {
+			o := experiments.DefaultScaleOptions()
+			o.Seed = c.seed
+			if c.scaleGPUs != nil {
+				o.GPUs = c.scaleGPUs
+			}
+			if c.scaleRequests != nil {
+				o.Requests = c.scaleRequests
+			}
+			o.Cells = c.cells
+			o.Workers = c.parallel
+			points, err := experiments.Scale(o)
+			return out(points, err, experiments.FormatScale, experiments.ScaleCSV, experiments.ScaleRecords)
+		}},
+	// traffic, coldstart and overload pin their default sweeps, seed and
+	// all, so the committed bench/BENCH_*.json records reproduce; only
+	// an explicit -seed overrides it.
+	{name: "traffic", solo: "flash-crowd fairness sweep",
+		csv: true, records: true, gate: gate{[]string{"throughput_tok_s", "skew_ratio", "tail_p99_gain"}, 0.20},
+		run: func(c *config) (report, error) {
+			var o experiments.TrafficOptions
+			if c.seedSet {
+				o.Seed = c.seed
+			}
+			points, err := experiments.Traffic(o)
+			return out(points, err, experiments.FormatTraffic, experiments.TrafficCSV, experiments.TrafficRecords)
+		}},
+	{name: "coldstart", solo: "tiered adapter-cache mitigation sweep",
+		csv: true, records: true, gate: gate{[]string{"throughput_tok_s", "cold_p99_gain"}, 0.20},
+		run: func(c *config) (report, error) {
+			var o experiments.ColdStartOptions
+			if c.seedSet {
+				o.Seed = c.seed
+			}
+			points, err := experiments.ColdStart(o)
+			return out(points, err, experiments.FormatColdStart, experiments.ColdStartCSV, experiments.ColdStartRecords)
+		}},
+	// overload replays open-loop traffic through the live HTTP stack in
+	// wall time, so its bound is generous and only the shedding-on vs
+	// -off goodput retention gates; latency and refusal counters ride
+	// along as records.
+	{name: "overload", solo: "live-HTTP overload-protection sweep, in wall time",
+		csv: true, records: true, gate: gate{[]string{"goodput_retention"}, 0.50},
+		run: func(c *config) (report, error) {
+			o := experiments.OverloadOptions{Speedup: c.overloadSpeedup}
+			if c.seedSet {
+				o.Seed = c.seed
+			}
+			points, err := experiments.Overload(o)
+			return out(points, err, experiments.FormatOverload, experiments.OverloadCSV, experiments.OverloadRecords)
+		}},
+	{name: "soak", solo: "hours-long everything-at-once run; -soak-horizon shortens it",
+		csv: true, records: true,
+		run: func(c *config) (report, error) {
+			res, err := experiments.Soak(experiments.SoakOptions{Horizon: c.soakHorizon, Seed: c.seed})
+			return out(res, err, experiments.FormatSoak, experiments.SoakCSV, experiments.SoakRecords)
+		}},
 }
 
-// checkTrafficBaseline gates the traffic sweep against a committed
-// baseline when -traffic-baseline is set. Three metrics gate: raw
-// throughput on every run row, and the off/on stall-skew ratio and
-// tail-p99 gain on the per-peak fairness-gain rows — the numbers the
-// fairness layer is accountable for.
-func checkTrafficBaseline(current []experiments.BenchRecord) error {
-	if *trafficBaselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*trafficBaselineFlag)
+// out builds a report from an experiment's result and its renderers;
+// csv and records may be nil.
+func out[T any](res T, err error, text func(T) string, csv func(io.Writer, T) error,
+	records func(T) []experiments.BenchRecord) (report, error) {
 	if err != nil {
-		return fmt.Errorf("-traffic-baseline: %w", err)
+		return report{}, err
 	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-traffic-baseline %s: %w", *trafficBaselineFlag, err)
+	r := report{text: text(res)}
+	if csv != nil {
+		r.csv = func(w io.Writer) error { return csv(w, res) }
 	}
-	var errs []error
-	for _, metric := range []string{"throughput_tok_s", "skew_ratio", "tail_p99_gain"} {
-		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, *regressFlag)...)
+	if records != nil {
+		r.records = records(res)
 	}
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d traffic metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *trafficBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no throughput/skew-ratio/tail-p99-gain regression past %.0f%% vs %s\n",
-		100**regressFlag, *trafficBaselineFlag)
-	return nil
+	return r, nil
 }
 
-// checkColdStartBaseline gates the cold-start sweep against a committed
-// baseline when -coldstart-baseline is set. Two metrics gate: raw
-// throughput on every run row, and the naive-vs-predist cold-start p99
-// gain — the number pre-distribution + overlap are accountable for.
-func checkColdStartBaseline(current []experiments.BenchRecord) error {
-	if *coldstartBaselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*coldstartBaselineFlag)
-	if err != nil {
-		return fmt.Errorf("-coldstart-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-coldstart-baseline %s: %w", *coldstartBaselineFlag, err)
-	}
-	var errs []error
-	for _, metric := range []string{"throughput_tok_s", "cold_p99_gain"} {
-		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, *regressFlag)...)
-	}
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d coldstart metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *coldstartBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no throughput/cold-p99-gain regression past %.0f%% vs %s\n",
-		100**regressFlag, *coldstartBaselineFlag)
-	return nil
+func titled(title string) func([]experiments.Fig11Row) string {
+	return func(rows []experiments.Fig11Row) string { return experiments.FormatFig11(title, rows) }
 }
 
-// checkOverloadBaseline gates the overload sweep against a committed
-// baseline when -overload-baseline is set. One metric gates: the
-// shedding-on vs -off goodput retention on the per-factor shedding-gain
-// rows — the number the admission layer is accountable for. The
-// per-run rows (latency percentiles, refusal counters) ride along as
-// informational data; they are wall-clock sensitive, so they do not
-// gate.
-func checkOverloadBaseline(current []experiments.BenchRecord) error {
-	if *overloadBaselineFlag == "" {
-		return nil
+func fig11Records(experiment string) func([]experiments.Fig11Row) []experiments.BenchRecord {
+	return func(rows []experiments.Fig11Row) []experiments.BenchRecord {
+		return experiments.Fig11Records(experiment, rows)
 	}
-	f, err := os.Open(*overloadBaselineFlag)
-	if err != nil {
-		return fmt.Errorf("-overload-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-overload-baseline %s: %w", *overloadBaselineFlag, err)
-	}
-	errs := experiments.CompareBaseline(baseline, current, "goodput_retention", *regressFlag)
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d overload metric(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *overloadBaselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no goodput-retention regression past %.0f%% vs %s\n",
-		100**regressFlag, *overloadBaselineFlag)
-	return nil
 }
 
-// checkScaleBaseline gates the scale run against a committed baseline
-// when -baseline is set: any grid point whose events/sec fell more than
-// -regress-threshold below the baseline fails the command.
-func checkScaleBaseline(current []experiments.BenchRecord) error {
-	if *baselineFlag == "" {
-		return nil
-	}
-	f, err := os.Open(*baselineFlag)
-	if err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	defer f.Close()
-	baseline, err := experiments.ReadBenchJSON(f)
-	if err != nil {
-		return fmt.Errorf("-baseline %s: %w", *baselineFlag, err)
-	}
-	errs := experiments.CompareBaseline(baseline, current, "events_per_sec", *regressFlag)
-	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "regression:", e)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%d scale point(s) regressed past %.0f%% vs %s",
-			len(errs), 100**regressFlag, *baselineFlag)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed: no events/sec regression past %.0f%% vs %s\n",
-		100**regressFlag, *baselineFlag)
-	return nil
+func (c *config) textGen() experiments.TextGenOptions {
+	return experiments.TextGenOptions{NumRequests: c.n, Seed: c.seed}
 }
 
-// parseIntList parses a comma-separated list of positive ints ("" → nil).
-func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("count must be positive, got %d", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func fig13Options() experiments.Fig13Options {
+// fig13 is the cluster deployment fig13, autoscale and
+// ablation-migration start from.
+func (c *config) fig13() experiments.Fig13Options {
 	o := experiments.DefaultFig13Options()
-	o.NumGPUs = *gpusFlag
-	o.Peak = *peakFlag
-	o.Seed = *seedFlag
-	if !*hourFlag {
+	o.NumGPUs = c.gpus
+	o.Peak = c.peak
+	o.Seed = c.seed
+	if !c.fullHour {
 		// Scaled horizon for interactive runs; -full-hour reproduces
 		// the paper's 60 minutes.
 		o.RampUp, o.Hold, o.RampDown = 10*time.Minute, 5*time.Minute, 10*time.Minute
@@ -591,19 +310,206 @@ func fig13Options() experiments.Fig13Options {
 	return o
 }
 
-func a100() hw.GPUSpec { return hw.A100() }
+// run parses args, runs the experiment they name, prints its text to
+// stdout, writes -csv and -json, and applies -check.
+func run(args []string, stdout io.Writer) error {
+	var c config
+	var csvPath, jsonPath, checkPath string
+	fs := flag.NewFlagSet("punica-bench", flag.ContinueOnError)
+	fs.Usage = func() { usage(fs) }
+	fs.StringVar(&c.model, "model", "7b", "model for fig1, fig11 and headline: 7b or 13b")
+	fs.IntVar(&c.n, "n", 1000, "requests for text-generation experiments")
+	fs.Int64Var(&c.seed, "seed", 42, "workload seed")
+	fs.IntVar(&c.gpus, "gpus", 16, "GPUs for fig13")
+	fs.Float64Var(&c.peak, "peak", 11, "peak request rate (req/s) for fig13")
+	fs.BoolVar(&c.fullHour, "full-hour", false, "run fig13 at the paper's full one-hour horizon")
+	fs.StringVar(&csvPath, "csv", "", "also write the experiment's data as CSV to this file")
+	fs.StringVar(&jsonPath, "json", "", "write the bench records of the experiments run to this JSON file")
+	fs.StringVar(&checkPath, "check", "", "gate the experiment's records against this committed bench record file")
+	fs.Func("scale-gpus", "comma-separated GPU counts for the scale sweep (default 16,64,256)", intList(&c.scaleGPUs))
+	fs.Func("scale-requests", "comma-separated request counts for the scale sweep (default 10000,100000,1000000)", intList(&c.scaleRequests))
+	fs.IntVar(&c.cells, "cells", 0, "scale: simulation cells per fleet (0 auto: GPUs/32 in [1,16]; 1 forces the classic single-cluster path)")
+	fs.IntVar(&c.parallel, "parallel", 1, "scale: worker goroutines advancing cells between epoch barriers (results are identical for any value)")
+	fs.Float64Var(&c.overloadSpeedup, "overload-speedup", 0, "overload: wall-clock speedup of the live serving runs (default 50)")
+	fs.DurationVar(&c.soakHorizon, "soak-horizon", 0, "soak: override the simulated horizon (default 2h)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
+	}
+	fs.Visit(func(f *flag.Flag) { c.seedSet = c.seedSet || f.Name == "seed" })
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: punica-bench [flags] <experiment>\nexperiments: %v\n",
-		allExperiments)
-	fmt.Fprintf(os.Stderr, "plus: scale (control-plane scale sweep; excluded from 'all' — the full grid runs 1M-request traces)\n")
-	fmt.Fprintf(os.Stderr, "plus: traffic (flash-crowd fairness sweep, gated by -traffic-baseline) and soak (hours-long everything-at-once run; -soak-horizon shortens it) — both excluded from 'all'\n")
-	fmt.Fprintf(os.Stderr, "plus: coldstart (tiered adapter-cache mitigation sweep, gated by -coldstart-baseline) — excluded from 'all'\n")
-	fmt.Fprintf(os.Stderr, "plus: overload (live-HTTP overload-protection sweep, gated by -overload-baseline) — excluded from 'all'\n")
-	flag.PrintDefaults()
+	exps, err := lookup(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	if err := validateOutputs(fs.Arg(0), exps, csvPath, jsonPath, checkPath); err != nil {
+		return err
+	}
+	var baseline []experiments.BenchRecord
+	if checkPath != "" {
+		if baseline, err = readBaseline(checkPath); err != nil {
+			return err
+		}
+	}
+
+	var records []experiments.BenchRecord
+	for _, e := range exps {
+		r, err := e.run(&c)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, r.text)
+		if csvPath != "" {
+			if err := writeFile(csvPath, r.csv); err != nil {
+				return err
+			}
+		}
+		records = append(records, r.records...)
+	}
+	if jsonPath != "" {
+		if err := writeFile(jsonPath, func(w io.Writer) error {
+			return experiments.WriteBenchJSON(w, records)
+		}); err != nil {
+			return err
+		}
+	}
+	if checkPath != "" {
+		return checkBaseline(checkPath, exps[0].gate, baseline, records)
+	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "punica-bench:", err)
-	os.Exit(1)
+// lookup returns the experiments name stands for: one, or those "all"
+// runs.
+func lookup(name string) ([]experiment, error) {
+	var exps []experiment
+	for _, e := range table {
+		if e.name == name || (name == "all" && e.solo == "") {
+			exps = append(exps, e)
+		}
+	}
+	if len(exps) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return exps, nil
+}
+
+// validateOutputs refuses output flags the experiments cannot honour,
+// before any of them runs.
+func validateOutputs(name string, exps []experiment, csvPath, jsonPath, checkPath string) error {
+	records := slices.ContainsFunc(exps, func(e experiment) bool { return e.records })
+	switch {
+	case csvPath != "" && len(exps) > 1:
+		return fmt.Errorf("-csv: %s runs several experiments, and each CSV would overwrite the last", name)
+	case csvPath != "" && !exps[0].csv:
+		return fmt.Errorf("-csv: %s has no CSV output", name)
+	case jsonPath != "" && !records:
+		return fmt.Errorf("-json: %s has no bench records", name)
+	case checkPath != "" && (len(exps) > 1 || exps[0].gate.metrics == nil):
+		return fmt.Errorf("-check: %s has no gate", name)
+	}
+	return nil
+}
+
+func readBaseline(path string) ([]experiments.BenchRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("-check: %w", err)
+	}
+	defer f.Close()
+	baseline, err := experiments.ReadBenchJSON(f)
+	if err != nil {
+		return nil, fmt.Errorf("-check %s: %w", path, err)
+	}
+	return baseline, nil
+}
+
+// checkBaseline holds current to g against the baseline records read
+// from path.
+func checkBaseline(path string, g gate, baseline, current []experiments.BenchRecord) error {
+	var errs []error
+	for _, metric := range g.metrics {
+		errs = append(errs, experiments.CompareBaseline(baseline, current, metric, g.bound)...)
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("-check %s: %d failure(s) at bound %.0f%%:\n%w",
+			path, len(errs), 100*g.bound, errors.Join(errs...))
+	}
+	fmt.Fprintf(os.Stderr, "check passed: no %s regression past %.0f%% vs %s\n",
+		strings.Join(g.metrics, "/"), 100*g.bound, path)
+	return nil
+}
+
+// writeFile writes one output file and names it on stderr.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, "wrote", path)
+	return nil
+}
+
+// intList parses a comma-separated list of positive ints into dst ("" → nil).
+func intList(dst *[]int) func(string) error {
+	return func(s string) error {
+		*dst = nil
+		if s == "" {
+			return nil
+		}
+		for _, part := range strings.Split(s, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			if n <= 0 {
+				return fmt.Errorf("count must be positive, got %d", n)
+			}
+			*dst = append(*dst, n)
+		}
+		return nil
+	}
+}
+
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, "usage: punica-bench [flags] <experiment>\n\nexperiments, with the output flags each takes:\n")
+	fmt.Fprintf(w, "  %-19s %-18s every experiment below not marked \"alone\"\n", "all", "-json")
+	for _, e := range table {
+		var flags []string
+		if e.csv {
+			flags = append(flags, "-csv")
+		}
+		if e.records {
+			flags = append(flags, "-json")
+		}
+		if e.gate.metrics != nil {
+			flags = append(flags, "-check")
+		}
+		line := fmt.Sprintf("  %-19s %-18s", e.name, strings.Join(flags, " "))
+		if e.solo != "" {
+			line += " alone: " + e.solo
+		}
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
+	}
+	fmt.Fprintf(w, "\n-check fails the run when a gated metric falls past its bound below the file's:\n")
+	for _, e := range table {
+		if e.gate.metrics != nil {
+			fmt.Fprintf(w, "  %-19s %s, bound %.0f%%\n", e.name, strings.Join(e.gate.metrics, ", "), 100*e.gate.bound)
+		}
+	}
+	fmt.Fprintf(w, "\nflags:\n")
+	fs.PrintDefaults()
 }

@@ -40,8 +40,10 @@ func ReadBenchJSON(r io.Reader) ([]BenchRecord, error) {
 // for every (experiment, name) pair present in both, the named metric
 // must not have dropped by more than threshold (a fraction: 0.20 = 20%).
 // Baseline rows with no current counterpart are ignored — sweep grids
-// may shrink in quick runs; a baseline metric of zero never gates.
-// Returns one error line per regression, nil when everything holds.
+// may shrink in quick runs; a baseline metric of zero never gates. A
+// check that compares no row at all fails, so a run never passes a gate
+// it shares nothing with. Returns one error line per failure, nil when
+// everything holds.
 func CompareBaseline(baseline, current []BenchRecord, metric string, threshold float64) []error {
 	base := make(map[string]float64, len(baseline))
 	for _, r := range baseline {
@@ -50,12 +52,14 @@ func CompareBaseline(baseline, current []BenchRecord, metric string, threshold f
 		}
 	}
 	var errs []error
+	compared := 0
 	for _, r := range current {
 		key := r.Experiment + "/" + r.Name
 		want, ok := base[key]
 		if !ok {
 			continue
 		}
+		compared++
 		got, ok := r.Metrics[metric]
 		if !ok {
 			errs = append(errs, fmt.Errorf("%s: baseline has %s but current run lacks it", key, metric))
@@ -65,6 +69,9 @@ func CompareBaseline(baseline, current []BenchRecord, metric string, threshold f
 			errs = append(errs, fmt.Errorf("%s: %s regressed %.0f%%: baseline %.0f, current %.0f (threshold %.0f%%)",
 				key, metric, 100*(1-got/want), want, got, 100*threshold))
 		}
+	}
+	if compared == 0 {
+		errs = append(errs, fmt.Errorf("%s: no row of the run has a baseline value to compare", metric))
 	}
 	return errs
 }

@@ -164,7 +164,8 @@ func TestScaleParallelSpeedup(t *testing.T) {
 }
 
 // TestCompareBaseline: the regression gate flags only drops past the
-// threshold and ignores baseline rows the current run didn't produce.
+// threshold and ignores baseline rows the current run didn't produce,
+// but fails a run that shares no gated row with the baseline at all.
 func TestCompareBaseline(t *testing.T) {
 	rec := func(name string, eps float64) BenchRecord {
 		return BenchRecord{Experiment: "scale", Name: name,
@@ -178,6 +179,19 @@ func TestCompareBaseline(t *testing.T) {
 	}
 	if errs := CompareBaseline(baseline, current, "events_per_sec", 0.50); len(errs) != 0 {
 		t.Fatalf("50%% threshold should pass, got %v", errs)
+	}
+	for _, tc := range []struct {
+		why     string
+		current []BenchRecord
+		metric  string
+	}{
+		{"no row in common", []BenchRecord{rec("new", 10)}, "events_per_sec"},
+		{"metric not in the baseline", current, "skew_ratio"},
+	} {
+		errs := CompareBaseline(baseline, tc.current, tc.metric, 0.20)
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no row") {
+			t.Errorf("%s: want one no-row failure, got %v", tc.why, errs)
+		}
 	}
 }
 
