@@ -61,14 +61,6 @@ type config struct {
 	soakHorizon     time.Duration
 }
 
-// report is what one experiment produces: its text, its CSV writer (nil
-// when it has no CSV) and its bench records.
-type report struct {
-	text    string
-	csv     func(io.Writer) error
-	records []experiments.BenchRecord
-}
-
 // experiment is one entry of the table below.
 type experiment struct {
 	name string
@@ -79,7 +71,7 @@ type experiment struct {
 	// bench records, so -csv and -json are checked before anything runs.
 	csv, records bool
 	gate         gate
-	run          func(*config) (report, error)
+	run          func(*config) (*experiments.Report, error)
 }
 
 // gate is what -check holds an experiment's records to: each metric
@@ -92,76 +84,82 @@ type gate struct {
 
 // table lists every experiment, those "all" runs first, in its order.
 var table = []experiment{
-	{name: "fig1", csv: true, run: func(c *config) (report, error) {
+	{name: "fig1", csv: true, run: func(c *config) (*experiments.Report, error) {
 		model, err := models.ByName(c.model)
 		if err != nil {
-			return report{}, err
+			return nil, err
 		}
-		return out(experiments.Fig1(hw.A100(), model), nil, experiments.FormatFig1, experiments.Fig1CSV, nil)
+		return experiments.Fig1Report(experiments.Fig1(hw.A100(), model)), nil
 	}},
-	{name: "fig6", run: func(c *config) (report, error) {
+	{name: "fig6", run: func(c *config) (*experiments.Report, error) {
 		res, err := experiments.Fig6(min(c.n, 256), c.seed)
-		return out(res, err, experiments.FormatFig6, nil, nil)
+		return out(res, err, text(experiments.FormatFig6))
 	}},
-	{name: "fig7", csv: true, run: func(*config) (report, error) {
-		return out(experiments.Fig7(), nil, experiments.FormatFig7, experiments.Fig7CSV, nil)
+	{name: "fig7", csv: true, run: func(*config) (*experiments.Report, error) {
+		return experiments.Fig7Report(experiments.Fig7()), nil
 	}},
-	{name: "fig8", csv: true, run: func(*config) (report, error) {
-		return out(experiments.Fig8(), nil, experiments.FormatFig8, experiments.Fig8CSV, nil)
+	{name: "fig8", csv: true, run: func(*config) (*experiments.Report, error) {
+		return experiments.Fig8Report(experiments.Fig8()), nil
 	}},
-	{name: "fig9", csv: true, run: func(*config) (report, error) {
-		return out(experiments.Fig9(), nil, experiments.FormatFig9, experiments.Fig9CSV, nil)
+	{name: "fig9", csv: true, run: func(*config) (*experiments.Report, error) {
+		return experiments.Fig9Report(experiments.Fig9()), nil
 	}},
-	{name: "fig10", csv: true, run: func(*config) (report, error) {
-		return out(experiments.Fig10(), nil, experiments.FormatFig10, experiments.Fig10CSV, nil)
+	{name: "fig10", csv: true, run: func(*config) (*experiments.Report, error) {
+		return experiments.Fig10Report(experiments.Fig10()), nil
 	}},
-	{name: "fig11", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "fig11", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		model, err := models.ByName(c.model)
 		if err != nil {
-			return report{}, err
+			return nil, err
 		}
 		rows, err := experiments.Fig11(model, c.textGen())
+		if err != nil {
+			return nil, err
+		}
 		title := fmt.Sprintf("Figure 11 — single-GPU text generation (%s, %d requests):", model.Name, c.n)
-		return out(rows, err, titled(title), experiments.Fig11CSV, fig11Records("fig11"))
+		return experiments.Fig11Report("fig11", title, rows), nil
 	}},
-	{name: "fig12", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "fig12", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		rows, err := experiments.Fig12(c.textGen())
+		if err != nil {
+			return nil, err
+		}
 		title := fmt.Sprintf("Figure 12 — 70B tensor parallel on 8xA100-40G (%d requests):", c.n)
-		return out(rows, err, titled(title), experiments.Fig11CSV, fig11Records("fig12"))
+		return experiments.Fig11Report("fig12", title, rows), nil
 	}},
-	{name: "fig13", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "fig13", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		res, err := experiments.Fig13(c.fig13())
-		return out(res, err, experiments.FormatFig13, experiments.Fig13CSV, experiments.Fig13Records)
+		return out(res, err, experiments.Fig13Report)
 	}},
-	{name: "headline", run: func(c *config) (report, error) {
+	{name: "headline", run: func(c *config) (*experiments.Report, error) {
 		model, err := models.ByName(c.model)
 		if err != nil {
-			return report{}, err
+			return nil, err
 		}
 		rows, err := experiments.Fig11(model, c.textGen())
-		return out(rows, err, func(rows []experiments.Fig11Row) string {
+		return out(rows, err, text(func(rows []experiments.Fig11Row) string {
 			return experiments.FormatHeadline(experiments.Headline(rows))
-		}, nil, nil)
+		}))
 	}},
-	{name: "loading", run: func(*config) (report, error) {
-		return out(experiments.Loading(), nil, experiments.FormatLoading, nil, nil)
+	{name: "loading", run: func(*config) (*experiments.Report, error) {
+		return out(experiments.Loading(), nil, text(experiments.FormatLoading))
 	}},
-	{name: "ablation-norm", run: func(*config) (report, error) {
-		return out(experiments.AblationNorm(), nil, experiments.FormatAblationNorm, nil, nil)
+	{name: "ablation-norm", run: func(*config) (*experiments.Report, error) {
+		return out(experiments.AblationNorm(), nil, text(experiments.FormatAblationNorm))
 	}},
-	{name: "ablation-maxbatch", run: func(c *config) (report, error) {
+	{name: "ablation-maxbatch", run: func(c *config) (*experiments.Report, error) {
 		points, err := experiments.AblationMaxBatch(min(c.n, 400), c.seed, nil)
-		return out(points, err, experiments.FormatAblationMaxBatch, nil, nil)
+		return out(points, err, text(experiments.FormatAblationMaxBatch))
 	}},
-	{name: "ablation-pagesize", run: func(c *config) (report, error) {
+	{name: "ablation-pagesize", run: func(c *config) (*experiments.Report, error) {
 		points, err := experiments.AblationPageSize(min(c.n, 300), c.seed, nil)
-		return out(points, err, experiments.FormatAblationPageSize, nil, nil)
+		return out(points, err, text(experiments.FormatAblationPageSize))
 	}},
-	{name: "ablation-prefill", run: func(c *config) (report, error) {
+	{name: "ablation-prefill", run: func(c *config) (*experiments.Report, error) {
 		points, err := experiments.AblationPrefillLimit(min(c.n, 400), c.seed, nil)
-		return out(points, err, experiments.FormatAblationPrefillLimit, nil, nil)
+		return out(points, err, text(experiments.FormatAblationPrefillLimit))
 	}},
-	{name: "ablation-migration", run: func(c *config) (report, error) {
+	{name: "ablation-migration", run: func(c *config) (*experiments.Report, error) {
 		o := c.fig13()
 		if !c.fullHour {
 			o.NumGPUs = 8
@@ -169,13 +167,13 @@ var table = []experiment{
 			o.RampUp, o.Hold, o.RampDown = 6*time.Minute, 3*time.Minute, 6*time.Minute
 		}
 		res, err := experiments.AblationMigration(o)
-		return out(res, err, experiments.FormatAblationMigration, nil, nil)
+		return out(res, err, text(experiments.FormatAblationMigration))
 	}},
-	{name: "ablation-quant", run: func(c *config) (report, error) {
+	{name: "ablation-quant", run: func(c *config) (*experiments.Report, error) {
 		points, err := experiments.AblationQuantization(min(c.n, 300), c.seed)
-		return out(points, err, experiments.FormatAblationQuantization, nil, nil)
+		return out(points, err, text(experiments.FormatAblationQuantization))
 	}},
-	{name: "autoscale", run: func(c *config) (report, error) {
+	{name: "autoscale", run: func(c *config) (*experiments.Report, error) {
 		o := c.fig13()
 		if !c.fullHour {
 			o.NumGPUs = 8
@@ -183,29 +181,29 @@ var table = []experiment{
 			o.RampUp, o.Hold, o.RampDown = 8*time.Minute, 4*time.Minute, 8*time.Minute
 		}
 		res, err := experiments.Autoscale(o)
-		return out(res, err, experiments.FormatAutoscale, nil, nil)
+		return out(res, err, text(experiments.FormatAutoscale))
 	}},
-	{name: "policies", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "policies", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		o := experiments.DefaultPolicyCompareOptions()
 		o.Seed = c.seed
 		points, err := experiments.ComparePolicies(o)
-		return out(points, err, experiments.FormatPolicyCompare, experiments.PolicyCompareCSV, experiments.PolicyRecords)
+		return out(points, err, experiments.PoliciesReport)
 	}},
-	{name: "faults", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "faults", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		o := experiments.DefaultFaultsOptions()
 		o.Seed = c.seed
 		points, err := experiments.Faults(o)
-		return out(points, err, experiments.FormatFaults, experiments.FaultsCSV, experiments.FaultsRecords)
+		return out(points, err, experiments.FaultsReport)
 	}},
-	{name: "disagg", csv: true, records: true, run: func(c *config) (report, error) {
+	{name: "disagg", csv: true, records: true, run: func(c *config) (*experiments.Report, error) {
 		o := experiments.DefaultDisaggOptions()
 		o.Seed = c.seed
 		points, err := experiments.Disaggregation(o)
-		return out(points, err, experiments.FormatDisaggregation, experiments.DisaggregationCSV, experiments.DisaggRecords)
+		return out(points, err, experiments.DisaggReport)
 	}},
 	{name: "scale", solo: "control-plane scale sweep; its full grid runs 1M-request traces",
 		csv: true, records: true, gate: gate{[]string{"events_per_sec"}, 0.20},
-		run: func(c *config) (report, error) {
+		run: func(c *config) (*experiments.Report, error) {
 			o := experiments.DefaultScaleOptions()
 			o.Seed = c.seed
 			if c.scaleGPUs != nil {
@@ -217,30 +215,30 @@ var table = []experiment{
 			o.Cells = c.cells
 			o.Workers = c.parallel
 			points, err := experiments.Scale(o)
-			return out(points, err, experiments.FormatScale, experiments.ScaleCSV, experiments.ScaleRecords)
+			return out(points, err, experiments.ScaleReport)
 		}},
 	// traffic, coldstart and overload pin their default sweeps, seed and
 	// all, so the committed bench/BENCH_*.json records reproduce; only
 	// an explicit -seed overrides it.
 	{name: "traffic", solo: "flash-crowd fairness sweep",
 		csv: true, records: true, gate: gate{[]string{"throughput_tok_s", "skew_ratio", "tail_p99_gain"}, 0.20},
-		run: func(c *config) (report, error) {
+		run: func(c *config) (*experiments.Report, error) {
 			var o experiments.TrafficOptions
 			if c.seedSet {
 				o.Seed = c.seed
 			}
 			points, err := experiments.Traffic(o)
-			return out(points, err, experiments.FormatTraffic, experiments.TrafficCSV, experiments.TrafficRecords)
+			return out(points, err, experiments.TrafficReport)
 		}},
 	{name: "coldstart", solo: "tiered adapter-cache mitigation sweep",
 		csv: true, records: true, gate: gate{[]string{"throughput_tok_s", "cold_p99_gain"}, 0.20},
-		run: func(c *config) (report, error) {
+		run: func(c *config) (*experiments.Report, error) {
 			var o experiments.ColdStartOptions
 			if c.seedSet {
 				o.Seed = c.seed
 			}
 			points, err := experiments.ColdStart(o)
-			return out(points, err, experiments.FormatColdStart, experiments.ColdStartCSV, experiments.ColdStartRecords)
+			return out(points, err, experiments.ColdStartReport)
 		}},
 	// overload replays open-loop traffic through the live HTTP stack in
 	// wall time, so its bound is generous and only the shedding-on vs
@@ -248,47 +246,33 @@ var table = []experiment{
 	// along as records.
 	{name: "overload", solo: "live-HTTP overload-protection sweep, in wall time",
 		csv: true, records: true, gate: gate{[]string{"goodput_retention"}, 0.50},
-		run: func(c *config) (report, error) {
+		run: func(c *config) (*experiments.Report, error) {
 			o := experiments.OverloadOptions{Speedup: c.overloadSpeedup}
 			if c.seedSet {
 				o.Seed = c.seed
 			}
 			points, err := experiments.Overload(o)
-			return out(points, err, experiments.FormatOverload, experiments.OverloadCSV, experiments.OverloadRecords)
+			return out(points, err, experiments.OverloadReport)
 		}},
 	{name: "soak", solo: "hours-long everything-at-once run; -soak-horizon shortens it",
 		csv: true, records: true,
-		run: func(c *config) (report, error) {
+		run: func(c *config) (*experiments.Report, error) {
 			res, err := experiments.Soak(experiments.SoakOptions{Horizon: c.soakHorizon, Seed: c.seed})
-			return out(res, err, experiments.FormatSoak, experiments.SoakCSV, experiments.SoakRecords)
+			return out(res, err, experiments.SoakReport)
 		}},
 }
 
-// out builds a report from an experiment's result and its renderers;
-// csv and records may be nil.
-func out[T any](res T, err error, text func(T) string, csv func(io.Writer, T) error,
-	records func(T) []experiments.BenchRecord) (report, error) {
+// out builds an experiment's report from its result, unless it failed.
+func out[T any](res T, err error, report func(T) *experiments.Report) (*experiments.Report, error) {
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
-	r := report{text: text(res)}
-	if csv != nil {
-		r.csv = func(w io.Writer) error { return csv(w, res) }
-	}
-	if records != nil {
-		r.records = records(res)
-	}
-	return r, nil
+	return report(res), nil
 }
 
-func titled(title string) func([]experiments.Fig11Row) string {
-	return func(rows []experiments.Fig11Row) string { return experiments.FormatFig11(title, rows) }
-}
-
-func fig11Records(experiment string) func([]experiments.Fig11Row) []experiments.BenchRecord {
-	return func(rows []experiments.Fig11Row) []experiments.BenchRecord {
-		return experiments.Fig11Records(experiment, rows)
-	}
+// text makes a report of a text-only experiment's text.
+func text[T any](format func(T) string) func(T) *experiments.Report {
+	return func(res T) *experiments.Report { return &experiments.Report{Title: format(res)} }
 }
 
 func (c *config) textGen() experiments.TextGenOptions {
@@ -363,13 +347,13 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, r.text)
+		fmt.Fprintln(stdout, r.Text())
 		if csvPath != "" {
-			if err := writeFile(csvPath, r.csv); err != nil {
+			if err := writeFile(csvPath, r.CSV); err != nil {
 				return err
 			}
 		}
-		records = append(records, r.records...)
+		records = append(records, r.Records()...)
 	}
 	if jsonPath != "" {
 		if err := writeFile(jsonPath, func(w io.Writer) error {

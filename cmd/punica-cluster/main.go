@@ -82,87 +82,52 @@ func main() {
 		fmt.Printf("(ran in %v of wall time)\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	if *disagg {
-		dopts := experiments.DefaultDisaggOptions()
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "gpus" {
-				dopts.NumGPUs = *gpus
-			}
-		})
-		dopts.PrefillGPUs = experiments.DisaggPrefillGPUs(dopts.NumGPUs, *disaggRatio)
-		dopts.Seed = *seed
-		dopts.Policy = *policy
-		points, err := experiments.Disaggregation(dopts)
+	// The sweeps keep their own fleet size unless -gpus is given: its
+	// default is fig13's 16.
+	gpusSet := false
+	flag.Visit(func(f *flag.Flag) { gpusSet = gpusSet || f.Name == "gpus" })
+	var report *experiments.Report
+	var csvPath string
+	switch {
+	case *disagg:
+		o := experiments.DefaultDisaggOptions()
+		if gpusSet {
+			o.NumGPUs = *gpus
+		}
+		o.PrefillGPUs = experiments.DisaggPrefillGPUs(o.NumGPUs, *disaggRatio)
+		o.Seed = *seed
+		o.Policy = *policy
+		points, err := experiments.Disaggregation(o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(experiments.FormatDisaggregation(points))
-		if *disaggCSV != "" {
-			f, err := os.Create(*disaggCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := experiments.DisaggregationCSV(f, points); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *disaggCSV)
+		report, csvPath = experiments.DisaggReport(points), *disaggCSV
+	case *faults:
+		o := experiments.DefaultFaultsOptions()
+		if gpusSet {
+			o.NumGPUs = *gpus
 		}
-		fmt.Printf("(ran in %v of wall time)\n", time.Since(start).Round(time.Millisecond))
-		return
+		o.Seed = *seed
+		points, err := experiments.Faults(o)
+		if err != nil {
+			log.Fatal(err)
+		}
+		report, csvPath = experiments.FaultsReport(points), *faultsCSV
+	case *policies:
+		o := experiments.DefaultPolicyCompareOptions()
+		if gpusSet {
+			o.NumGPUs = *gpus
+		}
+		o.Seed = *seed
+		points, err := experiments.ComparePolicies(o)
+		if err != nil {
+			log.Fatal(err)
+		}
+		report, csvPath = experiments.PoliciesReport(points), *policyCSV
 	}
-	if *faults {
-		fopts := experiments.DefaultFaultsOptions()
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "gpus" {
-				fopts.NumGPUs = *gpus
-			}
-		})
-		fopts.Seed = *seed
-		points, err := experiments.Faults(fopts)
-		if err != nil {
+	if report != nil {
+		if err := printReport(report, csvPath); err != nil {
 			log.Fatal(err)
-		}
-		fmt.Println(experiments.FormatFaults(points))
-		if *faultsCSV != "" {
-			f, err := os.Create(*faultsCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := experiments.FaultsCSV(f, points); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *faultsCSV)
-		}
-		fmt.Printf("(ran in %v of wall time)\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *policies {
-		popts := experiments.DefaultPolicyCompareOptions()
-		// -gpus defaults to fig13's 16; only an explicit value overrides
-		// the comparison's own fleet size.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "gpus" {
-				popts.NumGPUs = *gpus
-			}
-		})
-		popts.Seed = *seed
-		rows, err := experiments.ComparePolicies(popts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(experiments.FormatPolicyCompare(rows))
-		if *policyCSV != "" {
-			f, err := os.Create(*policyCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := experiments.PolicyCompareCSV(f, rows); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *policyCSV)
 		}
 		fmt.Printf("(ran in %v of wall time)\n", time.Since(start).Round(time.Millisecond))
 		return
@@ -189,9 +154,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(experiments.FormatFig13(res))
+	fmt.Println(experiments.Fig13Report(res).Text())
 	fmt.Printf("(simulated %v of cluster time in %v of wall time)\n",
 		res.Horizon.Round(time.Second), time.Since(start).Round(time.Millisecond))
+}
+
+// printReport prints r's text and, when path is set, writes its CSV
+// there.
+func printReport(r *experiments.Report, path string) error {
+	fmt.Println(r.Text())
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.CSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // tierOptions bundles the tiered-adapter-cache flags runTraffic wires

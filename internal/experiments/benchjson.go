@@ -75,86 +75,3 @@ func CompareBaseline(baseline, current []BenchRecord, metric string, threshold f
 	}
 	return errs
 }
-
-// Fig11Records flattens a system-comparison table (fig11/fig12) into
-// bench records, one per (distribution, system) bar.
-func Fig11Records(experiment string, rows []Fig11Row) []BenchRecord {
-	var recs []BenchRecord
-	for _, r := range rows {
-		recs = append(recs, BenchRecord{
-			Experiment: experiment,
-			Name:       fmt.Sprintf("%s/%s/%s", r.Model, r.Dist, r.System),
-			Metrics: map[string]float64{
-				"throughput_tok_s": r.Throughput,
-				"wasted_decodes":   float64(r.Wasted),
-			},
-		})
-	}
-	return recs
-}
-
-// Fig13Records summarises the cluster-deployment run as one record.
-func Fig13Records(r *Fig13Result) []BenchRecord {
-	return []BenchRecord{{
-		Experiment: "fig13",
-		Name:       fmt.Sprintf("%dgpus/peak%.0f", r.Opts.NumGPUs, r.Opts.Peak),
-		Metrics: map[string]float64{
-			"throughput_tok_s": r.Throughput,
-			"p50_ttft_s":       r.P50TTFT,
-			"p99_ttft_s":       r.P99TTFT,
-			"adapter_stalls":   float64(r.AdapterStalls),
-			"evictions":        float64(r.Evictions),
-			"migrations":       float64(r.Migrations),
-			"finished":         float64(r.Finished),
-			"requests":         float64(r.Requests),
-		},
-	}}
-}
-
-// PolicyRecords flattens the policy comparison, one record per
-// (workload, policy) cell.
-func PolicyRecords(points []PolicyComparePoint) []BenchRecord {
-	var recs []BenchRecord
-	for _, p := range points {
-		recs = append(recs, BenchRecord{
-			Experiment: "policies",
-			Name:       fmt.Sprintf("%s/%s", p.Workload, p.Policy),
-			Metrics: map[string]float64{
-				"throughput_tok_s": p.Throughput,
-				"busy_frac":        p.BusyFrac,
-				"util_spread":      p.UtilSpread,
-				"adapter_stalls":   float64(p.AdapterStalls),
-				"adapter_evict":    float64(p.AdapterEvictions),
-				"migrations":       float64(p.Migrations),
-				"queue_peak":       float64(p.QueuePeak),
-			},
-		})
-	}
-	return recs
-}
-
-// FaultsRecords flattens the availability sweep, one record per
-// (policy, fault-rate) cell.
-func FaultsRecords(points []FaultsPoint) []BenchRecord {
-	var recs []BenchRecord
-	for _, p := range points {
-		recs = append(recs, BenchRecord{
-			Experiment: "faults",
-			Name:       fmt.Sprintf("%s/%.0f-per-gpu-hour", p.Policy, p.FaultRate),
-			Metrics: map[string]float64{
-				"throughput_tok_s":          p.Throughput,
-				"throughput_frac":           p.ThroughputFrac,
-				"p50_ttft_s":                p.P50TTFT,
-				"p99_ttft_s":                p.P99TTFT,
-				"p99_ttft_delta_s":          p.P99TTFTDelta,
-				"gpu_failures":              float64(p.Failures),
-				"gpu_replacements":          float64(p.Replacements),
-				"gpu_stalls":                float64(p.Stalls),
-				"recovered_requests":        float64(p.Recovered),
-				"recomputed_prefill_tokens": float64(p.RecomputedPrefillTokens),
-				"recovery_p99_s":            p.RecoveryP99,
-			},
-		})
-	}
-	return recs
-}

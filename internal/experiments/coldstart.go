@@ -12,11 +12,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"strconv"
 	"time"
 
 	"punica/internal/cluster"
@@ -287,86 +284,40 @@ func ColdStartGain(points []ColdStartPoint) float64 {
 	return naive / best
 }
 
-// FormatColdStart renders the sweep as an aligned table.
-func FormatColdStart(points []ColdStartPoint) string {
-	t := newTable("config", "requests", "tok/s", "cold starts", "cold p50", "cold p99", "ram hit", "predist MiB", "digest")
-	for _, p := range points {
-		t.add(
-			p.Name,
-			strconv.Itoa(p.Requests),
-			fmt.Sprintf("%.0f", p.Throughput),
-			strconv.Itoa(p.ColdStarts),
-			fmt.Sprintf("%.1fms", p.ColdP50*1e3),
-			fmt.Sprintf("%.1fms", p.ColdP99*1e3),
-			fmt.Sprintf("%.0f%%", p.RAMHitRate*100),
-			fmt.Sprintf("%.0f", float64(p.PreDistBytes)/float64(1<<20)),
-			p.Digest)
-	}
-	out := "ColdStart — tiered adapter cache: naive vs overlap vs pre-distribution over one trace:\n" + t.String()
-	if gain := ColdStartGain(points); gain > 0 {
-		out += fmt.Sprintf("\ncold-start p99 gain (naive / best pre-distributed): %.1fx", gain)
-	}
-	return out
-}
-
-// ColdStartCSV writes the sweep as CSV, one row per run.
-func ColdStartCSV(out io.Writer, points []ColdStartPoint) error {
-	w := csv.NewWriter(out)
-	if err := w.Write([]string{"config", "overlap", "budget_bytes", "requests",
-		"finished", "throughput_tok_s", "makespan_s", "cold_starts",
-		"cold_p50_ms", "cold_p99_ms", "ram_hit_rate", "predist_bytes",
-		"predist_promotions", "digest"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if err := w.Write([]string{
-			p.Name,
-			onOff(p.Overlap),
-			strconv.FormatInt(p.Budget, 10),
-			strconv.Itoa(p.Requests),
-			strconv.FormatInt(p.Finished, 10),
-			fmt.Sprintf("%.1f", p.Throughput),
-			fmt.Sprintf("%.1f", p.Makespan.Seconds()),
-			strconv.Itoa(p.ColdStarts),
-			fmt.Sprintf("%.3f", p.ColdP50*1e3),
-			fmt.Sprintf("%.3f", p.ColdP99*1e3),
-			fmt.Sprintf("%.4f", p.RAMHitRate),
-			strconv.FormatInt(p.PreDistBytes, 10),
-			strconv.FormatInt(p.PreDistPromotions, 10),
-			p.Digest,
-		}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
-// ColdStartRecords flattens the sweep into bench records: one per run
+// ColdStartReport renders the sweep, one row and bench record per run,
 // plus the headline naive-vs-predist p99 gain the baseline gates.
-func ColdStartRecords(points []ColdStartPoint) []BenchRecord {
-	var recs []BenchRecord
+func ColdStartReport(points []ColdStartPoint) *Report {
+	r := &Report{
+		Experiment: "coldstart",
+		Title:      "ColdStart — tiered adapter cache: naive vs overlap vs pre-distribution over one trace:",
+	}
 	for _, p := range points {
-		recs = append(recs, BenchRecord{
-			Experiment: "coldstart",
-			Name:       p.Name,
-			Metrics: map[string]float64{
-				"throughput_tok_s":   p.Throughput,
-				"cold_starts":        float64(p.ColdStarts),
-				"cold_p50_ms":        p.ColdP50 * 1e3,
-				"cold_p99_ms":        p.ColdP99 * 1e3,
-				"ram_hit_rate":       p.RAMHitRate,
-				"predist_bytes":      float64(p.PreDistBytes),
-				"predist_promotions": float64(p.PreDistPromotions),
-			},
-		})
+		r.Rows = append(r.Rows, Row{Name: p.Name, Cells: []Cell{
+			{Name: "config", Header: "config", Value: p.Name},
+			{Name: "overlap", Value: onOff(p.Overlap)},
+			{Name: "budget_bytes", Value: p.Budget},
+			{Name: "requests", Header: "requests", Value: p.Requests},
+			{Name: "finished", Value: p.Finished},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: p.Throughput},
+			{Name: "makespan_s", Value: p.Makespan.Seconds()},
+			{Name: "cold_starts", Header: "cold starts", Value: p.ColdStarts},
+			{Name: "cold_p50_ms", Header: "cold p50", Format: "%.1fms", Value: p.ColdP50 * 1e3},
+			{Name: "cold_p99_ms", Header: "cold p99", Format: "%.1fms", Value: p.ColdP99 * 1e3},
+			{Name: "ram_hit_rate", Value: p.RAMHitRate},
+			{Header: "ram hit", Format: "%.0f%%", Value: p.RAMHitRate * 100},
+			{Name: "predist_bytes", Value: p.PreDistBytes},
+			{Header: "predist MiB", Format: "%.0f", Value: float64(p.PreDistBytes) / float64(1<<20)},
+			{Name: "predist_promotions", Value: p.PreDistPromotions},
+			{Name: "digest", Header: "digest", Value: p.Digest},
+		}})
 	}
 	if gain := ColdStartGain(points); gain > 0 {
-		recs = append(recs, BenchRecord{
+		r.Note = fmt.Sprintf("cold-start p99 gain (naive / best pre-distributed): %.1fx", gain)
+		r.Derived = []BenchRecord{{
 			Experiment: "coldstart",
 			Name:       "predist-gain",
 			Metrics:    map[string]float64{"cold_p99_gain": gain},
-		})
+		}}
 	}
-	return recs
+	return r
 }

@@ -22,7 +22,7 @@ func parseCSV(t *testing.T, s string) [][]string {
 func TestFig1CSV(t *testing.T) {
 	points := Fig1(hw.A100(), models.Llama2_7B())
 	var b strings.Builder
-	if err := Fig1CSV(&b, points); err != nil {
+	if err := Fig1Report(points).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, b.String())
@@ -36,28 +36,28 @@ func TestFig1CSV(t *testing.T) {
 
 func TestMicrobenchCSVs(t *testing.T) {
 	var b strings.Builder
-	if err := Fig7CSV(&b, Fig7()); err != nil {
+	if err := Fig7Report(Fig7()).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, b.String()); rows[0][2] != "intensity" {
 		t.Fatal("fig7 header wrong")
 	}
 	b.Reset()
-	if err := Fig8CSV(&b, Fig8()); err != nil {
+	if err := Fig8Report(Fig8()).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, b.String()); len(rows[0]) != 7 {
 		t.Fatal("fig8 header wrong")
 	}
 	b.Reset()
-	if err := Fig9CSV(&b, Fig9()); err != nil {
+	if err := Fig9Report(Fig9()).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, b.String()); rows[0][0] != "rank" {
 		t.Fatal("fig9 header wrong")
 	}
 	b.Reset()
-	if err := Fig10CSV(&b, Fig10()); err != nil {
+	if err := Fig10Report(Fig10()).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, b.String()); rows[0][0] != "model" {
@@ -71,7 +71,7 @@ func TestFig11CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := Fig11CSV(&b, rows11); err != nil {
+	if err := Fig11Report("fig11", "", rows11).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, b.String())
@@ -90,7 +90,7 @@ func TestFig13CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := Fig13CSV(&b, res); err != nil {
+	if err := Fig13Report(res).CSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, b.String())

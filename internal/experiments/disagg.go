@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"punica/internal/cluster"
@@ -203,82 +199,36 @@ func Disaggregation(opts DisaggOptions) ([]DisaggPoint, error) {
 	return points, nil
 }
 
-// FormatDisaggregation renders the head-to-head as a table.
-func FormatDisaggregation(points []DisaggPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension — prefill/decode disaggregation (prefill-heavy mix, equal GPU count):\n")
-	fmt.Fprintf(&b, "decode p50/p99 are inter-token latencies; util columns are per-pool busy fractions\n\n")
-	t := newTable("workload", "mode", "tok/s", "decode p50(ms)", "decode p99(ms)",
-		"p99 TTFT(s)", "prefill util", "decode util", "kv moves", "moved MB", "fallbacks")
-	for _, p := range points {
-		t.add(
-			p.Workload, p.Mode,
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%.1f", 1000*p.DecodeP50),
-			fmt.Sprintf("%.1f", 1000*p.DecodeP99),
-			fmt.Sprintf("%.2f", p.P99TTFT),
-			fmt.Sprintf("%.1f%%", 100*p.PrefillUtil),
-			fmt.Sprintf("%.1f%%", 100*p.DecodeUtil),
-			fmt.Sprint(p.KVMigrations),
-			fmt.Sprintf("%.0f", p.KVMigratedMB),
-			fmt.Sprint(p.Fallbacks),
-		)
+// DisaggReport renders the head-to-head, one row and bench record per
+// (distribution, mode) cell.
+func DisaggReport(points []DisaggPoint) *Report {
+	r := &Report{
+		Experiment: "disagg",
+		Title: "Extension — prefill/decode disaggregation (prefill-heavy mix, equal GPU count):\n" +
+			"decode p50/p99 are inter-token latencies; util columns are per-pool busy fractions\n",
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// DisaggregationCSV writes the sweep as CSV, including the per-pool
-// utilization columns.
-func DisaggregationCSV(out io.Writer, points []DisaggPoint) error {
-	w := csv.NewWriter(out)
-	rows := [][]string{{"workload", "mode", "throughput_tok_s", "finished",
-		"decode_p50_s", "decode_p99_s", "p50_ttft_s", "p99_ttft_s",
-		"prefill_util", "decode_util", "kv_migrations", "kv_migrated_mb",
-		"kv_fallbacks", "adapter_prefetches", "queue_peak"}}
 	for _, p := range points {
-		rows = append(rows, []string{
-			p.Workload, p.Mode,
-			strconv.FormatFloat(p.Throughput, 'f', 1, 64),
-			strconv.FormatInt(p.Finished, 10),
-			strconv.FormatFloat(p.DecodeP50, 'f', 5, 64),
-			strconv.FormatFloat(p.DecodeP99, 'f', 5, 64),
-			strconv.FormatFloat(p.P50TTFT, 'f', 4, 64),
-			strconv.FormatFloat(p.P99TTFT, 'f', 4, 64),
-			strconv.FormatFloat(p.PrefillUtil, 'f', 4, 64),
-			strconv.FormatFloat(p.DecodeUtil, 'f', 4, 64),
-			strconv.FormatInt(p.KVMigrations, 10),
-			strconv.FormatFloat(p.KVMigratedMB, 'f', 1, 64),
-			strconv.FormatInt(p.Fallbacks, 10),
-			strconv.FormatInt(p.AdapterPrefetches, 10),
-			strconv.Itoa(p.QueuePeak),
-		})
+		r.Rows = append(r.Rows, Row{Name: p.Workload + "/" + p.Mode, Cells: []Cell{
+			{Name: "workload", Header: "workload", Value: p.Workload},
+			{Name: "mode", Header: "mode", Value: p.Mode},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: p.Throughput},
+			{Name: "finished", Value: p.Finished},
+			{Name: "decode_p50_s", Value: p.DecodeP50},
+			{Header: "decode p50(ms)", Format: "%.1f", Value: 1000 * p.DecodeP50},
+			{Name: "decode_p99_s", Value: p.DecodeP99},
+			{Header: "decode p99(ms)", Format: "%.1f", Value: 1000 * p.DecodeP99},
+			{Name: "p50_ttft_s", Value: p.P50TTFT},
+			{Name: "p99_ttft_s", Header: "p99 TTFT(s)", Format: "%.2f", Value: p.P99TTFT},
+			{Name: "prefill_util", Value: p.PrefillUtil},
+			{Header: "prefill util", Format: "%.1f%%", Value: 100 * p.PrefillUtil},
+			{Name: "decode_util", Value: p.DecodeUtil},
+			{Header: "decode util", Format: "%.1f%%", Value: 100 * p.DecodeUtil},
+			{Name: "kv_migrations", Header: "kv moves", Value: p.KVMigrations},
+			{Name: "kv_migrated_mb", Header: "moved MB", Format: "%.0f", Value: p.KVMigratedMB},
+			{Name: "kv_fallbacks", Header: "fallbacks", Value: p.Fallbacks},
+			{Name: "adapter_prefetches", Value: p.AdapterPrefetches},
+			{Name: "queue_peak", Value: p.QueuePeak},
+		}})
 	}
-	return writeAll(w, rows)
-}
-
-// DisaggRecords flattens the sweep for punica-bench -json.
-func DisaggRecords(points []DisaggPoint) []BenchRecord {
-	var recs []BenchRecord
-	for _, p := range points {
-		recs = append(recs, BenchRecord{
-			Experiment: "disagg",
-			Name:       fmt.Sprintf("%s/%s", p.Workload, p.Mode),
-			Metrics: map[string]float64{
-				"throughput_tok_s":   p.Throughput,
-				"decode_p50_s":       p.DecodeP50,
-				"decode_p99_s":       p.DecodeP99,
-				"p50_ttft_s":         p.P50TTFT,
-				"p99_ttft_s":         p.P99TTFT,
-				"prefill_util":       p.PrefillUtil,
-				"decode_util":        p.DecodeUtil,
-				"kv_migrations":      float64(p.KVMigrations),
-				"kv_migrated_mb":     p.KVMigratedMB,
-				"kv_fallbacks":       float64(p.Fallbacks),
-				"adapter_prefetches": float64(p.AdapterPrefetches),
-				"queue_peak":         float64(p.QueuePeak),
-			},
-		})
-	}
-	return recs
+	return r
 }

@@ -71,7 +71,7 @@ func TestDisaggregationCSVAndFormat(t *testing.T) {
 		AdapterPrefetches: 98, QueuePeak: 7,
 	}}
 	var buf bytes.Buffer
-	if err := DisaggregationCSV(&buf, points); err != nil {
+	if err := DisaggReport(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -80,11 +80,11 @@ func TestDisaggregationCSVAndFormat(t *testing.T) {
 			t.Fatalf("CSV missing %q:\n%s", want, got)
 		}
 	}
-	text := FormatDisaggregation(points)
+	text := DisaggReport(points).Text()
 	if !strings.Contains(text, "2p+6d") || !strings.Contains(text, "decode p99") {
 		t.Fatalf("format output unexpected:\n%s", text)
 	}
-	recs := DisaggRecords(points)
+	recs := DisaggReport(points).Records()
 	if len(recs) != 1 || recs[0].Experiment != "disagg" || recs[0].Metrics["decode_p99_s"] != 0.034 {
 		t.Fatalf("records = %+v", recs)
 	}

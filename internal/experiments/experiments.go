@@ -1,9 +1,11 @@
 // Package experiments contains one harness per table/figure in the
 // Punica paper's evaluation (§7). Each harness runs the corresponding
-// workload on the simulated substrate and returns typed rows plus a
-// paper-style text rendering; cmd/punica-bench and the repository-root
-// benchmarks call into it, and EXPERIMENTS.md records paper-vs-measured
-// values produced by these functions.
+// workload on the simulated substrate and returns typed rows. A Report
+// renders them as paper-style text, CSV and bench records; the
+// text-only experiments keep a Format function instead.
+// cmd/punica-bench and the repository-root benchmarks call into it, and
+// EXPERIMENTS.md records paper-vs-measured values produced by these
+// functions.
 package experiments
 
 import (
@@ -19,7 +21,8 @@ var Batches1to32 = []int{1, 2, 4, 8, 16, 32}
 // (Fig. 7–9).
 var Batches1to64 = []int{1, 2, 4, 8, 16, 32, 48, 64}
 
-// table is a small text-table builder used by the Format helpers.
+// table is a small text-table builder used by Report.Text and the
+// Format helpers.
 type table struct {
 	header []string
 	rows   [][]string
@@ -65,8 +68,14 @@ func (t *table) String() string {
 	return b.String()
 }
 
+// micros is d in microseconds, the unit of the microbenchmarks' CSV
+// columns.
+func micros(d time.Duration) float64 {
+	return float64(d.Nanoseconds()) / 1e3
+}
+
 func us(d time.Duration) string {
-	return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1e3)
+	return fmt.Sprintf("%.1fµs", micros(d))
 }
 
 func ms(d time.Duration) string {

@@ -37,9 +37,9 @@ func TestFig1Shapes(t *testing.T) {
 	if d := byCell[[2]int{2048, 32}].Decode; d < 25*time.Millisecond || d > 45*time.Millisecond {
 		t.Errorf("decode b32 len2048 = %v, want ~34ms", d)
 	}
-	out := FormatFig1(points)
+	out := Fig1Report(points).Text()
 	if !strings.Contains(out, "Prefill latency") || !strings.Contains(out, "2048") {
-		t.Error("FormatFig1 output malformed")
+		t.Error("Fig1Report text malformed")
 	}
 }
 
@@ -74,8 +74,8 @@ func TestFig7Shapes(t *testing.T) {
 			t.Error("roofline ceiling violated")
 		}
 	}
-	if !strings.Contains(FormatFig7(points), "roofline") {
-		t.Error("FormatFig7 malformed")
+	if !strings.Contains(Fig7Report(points).Text(), "roofline") {
+		t.Error("Fig7Report text malformed")
 	}
 }
 
@@ -102,8 +102,8 @@ func TestFig8Shapes(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(FormatFig8(points), "Gather-BMM") {
-		t.Error("FormatFig8 malformed")
+	if !strings.Contains(Fig8Report(points).Text(), "Gather-BMM") {
+		t.Error("Fig8Report text malformed")
 	}
 }
 
@@ -132,8 +132,8 @@ func TestFig9Shapes(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(FormatFig9(points), "r=64") {
-		t.Error("FormatFig9 malformed")
+	if !strings.Contains(Fig9Report(points).Text(), "r=64") {
+		t.Error("Fig9Report text malformed")
 	}
 }
 
@@ -171,8 +171,8 @@ func TestFig10Shapes(t *testing.T) {
 			t.Errorf("%v: distribution spread %.2f, want < 1.4", k, ratio)
 		}
 	}
-	if !strings.Contains(FormatFig10(points), "llama-2-13b") {
-		t.Error("FormatFig10 malformed")
+	if !strings.Contains(Fig10Report(points).Text(), "llama-2-13b") {
+		t.Error("Fig10Report text malformed")
 	}
 }
 
@@ -304,9 +304,9 @@ func TestFig13SmallScale(t *testing.T) {
 	if len(res.BatchPerGPU) != opts.NumGPUs {
 		t.Fatalf("batch series for %d GPUs", len(res.BatchPerGPU))
 	}
-	out := FormatFig13(res)
+	out := Fig13Report(res).Text()
 	if !strings.Contains(out, "req/s") || !strings.Contains(out, "busy GPUs") {
-		t.Error("FormatFig13 malformed")
+		t.Error("Fig13Report text malformed")
 	}
 }
 

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"punica/internal/cluster"
@@ -202,58 +198,32 @@ func MergedRecoveryLatency(results []*cluster.Result) metrics.Histogram {
 	return h
 }
 
-// FormatFaults renders the sweep as a table.
-func FormatFaults(points []FaultsPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension — availability under GPU failures (crash / crash+replace / stall):\n")
-	fmt.Fprintf(&b, "degradation is vs. the same policy at fault rate 0\n\n")
-	t := newTable("policy", "faults/GPU-h", "fail", "repl", "stall", "recov",
-		"recompute-tok", "tok/s", "vs base", "p99 TTFT(s)", "Δp99(s)", "recov p99(s)")
-	for _, p := range points {
-		t.add(
-			p.Policy,
-			fmt.Sprintf("%.0f", p.FaultRate),
-			fmt.Sprint(p.Failures),
-			fmt.Sprint(p.Replacements),
-			fmt.Sprint(p.Stalls),
-			fmt.Sprint(p.Recovered),
-			fmt.Sprint(p.RecomputedPrefillTokens),
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%.2f", p.ThroughputFrac),
-			fmt.Sprintf("%.2f", p.P99TTFT),
-			fmt.Sprintf("%+.2f", p.P99TTFTDelta),
-			fmt.Sprintf("%.3f", p.RecoveryP99),
-		)
+// FaultsReport renders the sweep, one row and bench record per (policy,
+// fault-rate) cell.
+func FaultsReport(points []FaultsPoint) *Report {
+	r := &Report{
+		Experiment: "faults",
+		Title: "Extension — availability under GPU failures (crash / crash+replace / stall):\n" +
+			"degradation is vs. the same policy at fault rate 0\n",
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// FaultsCSV writes the sweep as CSV.
-func FaultsCSV(out io.Writer, points []FaultsPoint) error {
-	w := csv.NewWriter(out)
-	rows := [][]string{{"policy", "faults_per_gpu_hour", "failures", "replacements",
-		"stalls", "recovered", "recomputed_prefill_tokens", "finished",
-		"throughput_tok_s", "throughput_frac", "p50_ttft_s", "p99_ttft_s",
-		"p99_ttft_delta_s", "recovery_p50_s", "recovery_p99_s"}}
 	for _, p := range points {
-		rows = append(rows, []string{
-			p.Policy,
-			strconv.FormatFloat(p.FaultRate, 'f', 1, 64),
-			strconv.FormatInt(p.Failures, 10),
-			strconv.FormatInt(p.Replacements, 10),
-			strconv.FormatInt(p.Stalls, 10),
-			strconv.FormatInt(p.Recovered, 10),
-			strconv.FormatInt(p.RecomputedPrefillTokens, 10),
-			strconv.FormatInt(p.Finished, 10),
-			strconv.FormatFloat(p.Throughput, 'f', 1, 64),
-			strconv.FormatFloat(p.ThroughputFrac, 'f', 4, 64),
-			strconv.FormatFloat(p.P50TTFT, 'f', 4, 64),
-			strconv.FormatFloat(p.P99TTFT, 'f', 4, 64),
-			strconv.FormatFloat(p.P99TTFTDelta, 'f', 4, 64),
-			strconv.FormatFloat(p.RecoveryP50, 'f', 4, 64),
-			strconv.FormatFloat(p.RecoveryP99, 'f', 4, 64),
-		})
+		r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("%s/%.0f-per-gpu-hour", p.Policy, p.FaultRate), Cells: []Cell{
+			{Name: "policy", Header: "policy", Value: p.Policy},
+			{Name: "faults_per_gpu_hour", Header: "faults/GPU-h", Format: "%.0f", Value: p.FaultRate},
+			{Name: "gpu_failures", Header: "fail", Value: p.Failures},
+			{Name: "gpu_replacements", Header: "repl", Value: p.Replacements},
+			{Name: "gpu_stalls", Header: "stall", Value: p.Stalls},
+			{Name: "recovered_requests", Header: "recov", Value: p.Recovered},
+			{Name: "recomputed_prefill_tokens", Header: "recompute-tok", Value: p.RecomputedPrefillTokens},
+			{Name: "finished", Value: p.Finished},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: p.Throughput},
+			{Name: "throughput_frac", Header: "vs base", Format: "%.2f", Value: p.ThroughputFrac},
+			{Name: "p50_ttft_s", Value: p.P50TTFT},
+			{Name: "p99_ttft_s", Header: "p99 TTFT(s)", Format: "%.2f", Value: p.P99TTFT},
+			{Name: "p99_ttft_delta_s", Header: "Δp99(s)", Format: "%+.2f", Value: p.P99TTFTDelta},
+			{Name: "recovery_p50_s", Value: p.RecoveryP50},
+			{Name: "recovery_p99_s", Header: "recov p99(s)", Format: "%.3f", Value: p.RecoveryP99},
+		}})
 	}
-	return writeAll(w, rows)
+	return r
 }

@@ -64,12 +64,12 @@ func TestFaultsSweep(t *testing.T) {
 	}
 
 	// Render paths.
-	text := FormatFaults(points)
+	text := FaultsReport(points).Text()
 	if !strings.Contains(text, "paper") || !strings.Contains(text, "vs base") {
 		t.Fatalf("format output malformed:\n%s", text)
 	}
 	var buf bytes.Buffer
-	if err := FaultsCSV(&buf, points); err != nil {
+	if err := FaultsReport(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

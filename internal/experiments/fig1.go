@@ -47,8 +47,23 @@ func Fig1(gpu hw.GPUSpec, model models.Config) []Fig1Point {
 	return points
 }
 
-// FormatFig1 renders the sweep as two text tables.
-func FormatFig1(points []Fig1Point) string {
+// Fig1Report renders the sweep: two pivoted text tables over one CSV row
+// per point.
+func Fig1Report(points []Fig1Point) *Report {
+	r := &Report{Title: formatFig1(points)}
+	for _, p := range points {
+		r.Rows = append(r.Rows, Row{Cells: []Cell{
+			{Name: "seq_len", Value: p.SeqLen},
+			{Name: "batch", Value: p.Batch},
+			{Name: "prefill_us", Value: micros(p.Prefill)},
+			{Name: "decode_us", Value: micros(p.Decode)},
+		}})
+	}
+	return r
+}
+
+// formatFig1 renders the sweep as two text tables.
+func formatFig1(points []Fig1Point) string {
 	prefill := newTable(append([]string{"len\\batch"}, batchHeaders()...)...)
 	decode := newTable(append([]string{"len\\batch"}, batchHeaders()...)...)
 	for _, seqLen := range Fig1SeqLens {

@@ -57,8 +57,24 @@ func Fig10() []Fig10Point {
 	return points
 }
 
-// FormatFig10 renders one table per (model, length) panel.
-func FormatFig10(points []Fig10Point) string {
+// Fig10Report renders one pivoted text table per (model, length) panel
+// over one CSV row per point.
+func Fig10Report(points []Fig10Point) *Report {
+	r := &Report{Title: formatFig10(points)}
+	for _, p := range points {
+		r.Rows = append(r.Rows, Row{Cells: []Cell{
+			{Name: "model", Value: p.Model},
+			{Name: "seq_len", Value: p.SeqLen},
+			{Name: "dist", Value: p.Dist.String()},
+			{Name: "batch", Value: p.Batch},
+			{Name: "latency_us", Value: micros(p.Latency)},
+		}})
+	}
+	return r
+}
+
+// formatFig10 renders one table per (model, length) panel.
+func formatFig10(points []Fig10Point) string {
 	out := "Figure 10 — Transformer layer latency (decode, LoRA rank 16):\n"
 	for _, cfg := range []string{"llama-2-7b", "llama-2-13b"} {
 		for _, seqLen := range Fig10SeqLens {

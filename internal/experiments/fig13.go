@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"punica/internal/cluster"
@@ -172,36 +171,57 @@ func Fig13(opts Fig13Options) (*Fig13Result, error) {
 	return out, nil
 }
 
-// FormatFig13 renders the three panels as aligned text columns, one row
-// per bin.
-func FormatFig13(r *Fig13Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 13 — Cluster deployment: %d GPUs, %v horizon, Zipf-1.5, 7B\n",
-		r.Opts.NumGPUs, r.Horizon.Round(time.Second))
-	fmt.Fprintf(&b, "requests=%d finished=%d migrations=%d evictions=%d throughput=%.0f tok/s\n\n",
-		r.Requests, r.Finished, r.Migrations, r.Evictions, r.Throughput)
-	t := newTable("t(min)", "req/s", "tok/s", "busy GPUs", "mean batch (busy)")
+// Fig13Report renders the three panels as aligned text columns and CSV,
+// one row per bin, the CSV with one batch column per GPU, and the run's
+// summary as its one bench record.
+func Fig13Report(r *Fig13Result) *Report {
+	rep := &Report{
+		Experiment: "fig13",
+		Title: fmt.Sprintf("Figure 13 — Cluster deployment: %d GPUs, %v horizon, Zipf-1.5, 7B\n"+
+			"requests=%d finished=%d migrations=%d evictions=%d throughput=%.0f tok/s\n",
+			r.Opts.NumGPUs, r.Horizon.Round(time.Second),
+			r.Requests, r.Finished, r.Migrations, r.Evictions, r.Throughput),
+		Derived: []BenchRecord{{
+			Experiment: "fig13",
+			Name:       fmt.Sprintf("%dgpus/peak%.0f", r.Opts.NumGPUs, r.Opts.Peak),
+			Metrics: map[string]float64{
+				"throughput_tok_s": r.Throughput,
+				"p50_ttft_s":       r.P50TTFT,
+				"p99_ttft_s":       r.P99TTFT,
+				"adapter_stalls":   float64(r.AdapterStalls),
+				"evictions":        float64(r.Evictions),
+				"migrations":       float64(r.Migrations),
+				"finished":         float64(r.Finished),
+				"requests":         float64(r.Requests),
+			},
+		}},
+	}
 	for i := range r.ReqRate {
 		busy := 0
 		sum := 0.0
-		for _, g := range r.BatchPerGPU {
-			if i < len(g) && g[i] > 0 {
-				busy++
-				sum += g[i]
+		var batches []Cell
+		for g, series := range r.BatchPerGPU {
+			v := 0.0
+			if i < len(series) {
+				v = series[i]
 			}
+			if v > 0 {
+				busy++
+				sum += v
+			}
+			batches = append(batches, Cell{Name: fmt.Sprintf("gpu%02d_batch", g), Value: v})
 		}
 		mean := 0.0
 		if busy > 0 {
 			mean = sum / float64(busy)
 		}
-		t.add(
-			fmt.Sprintf("%.0f", (time.Duration(i)*r.Opts.BinWidth).Minutes()),
-			fmt.Sprintf("%.1f", r.ReqRate[i]),
-			fmt.Sprintf("%.0f", r.TokRate[i]),
-			fmt.Sprint(busy),
-			fmt.Sprintf("%.1f", mean),
-		)
+		rep.Rows = append(rep.Rows, Row{Cells: append([]Cell{
+			{Name: "minute", Header: "t(min)", Format: "%.0f", Value: (time.Duration(i) * r.Opts.BinWidth).Minutes()},
+			{Name: "req_per_s", Header: "req/s", Format: "%.1f", Value: r.ReqRate[i]},
+			{Name: "tok_per_s", Header: "tok/s", Format: "%.0f", Value: r.TokRate[i]},
+			{Name: "busy_gpus", Header: "busy GPUs", Value: busy},
+			{Header: "mean batch (busy)", Format: "%.1f", Value: mean},
+		}, batches...)})
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return rep
 }

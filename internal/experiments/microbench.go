@@ -46,17 +46,19 @@ func Fig7() []Fig7Point {
 	return points
 }
 
-// FormatFig7 renders the roofline points with the two A100 ceilings.
-func FormatFig7(points []Fig7Point) string {
-	t := newTable("dist", "batch", "FLOP:I/O", "achieved FLOP/s", "latency")
+// Fig7Report renders the roofline points with the two A100 ceilings.
+func Fig7Report(points []Fig7Point) *Report {
+	r := &Report{Title: "Figure 7 — SGMV roofline (hi=16, ho=4096, A100: 1.935 TB/s, 312 TFLOP/s):"}
 	for _, p := range points {
-		t.add(p.Dist.String(), fmt.Sprint(p.Batch),
-			fmt.Sprintf("%.3f", p.Intensity),
-			fmt.Sprintf("%.3g", p.AchievedFLOPS),
-			us(p.Latency))
+		r.Rows = append(r.Rows, Row{Cells: []Cell{
+			{Name: "dist", Header: "dist", Value: p.Dist.String()},
+			{Name: "batch", Header: "batch", Value: p.Batch},
+			{Name: "intensity", Header: "FLOP:I/O", Format: "%.3f", Value: p.Intensity},
+			{Name: "achieved_flops", Header: "achieved FLOP/s", Format: "%.3g", Value: p.AchievedFLOPS},
+			{Name: "latency_us", Header: "latency", Format: "%.1fµs", Value: micros(p.Latency)},
+		}})
 	}
-	return "Figure 7 — SGMV roofline (hi=16, ho=4096, A100: 1.935 TB/s, 312 TFLOP/s):\n" +
-		t.String()
+	return r
 }
 
 // Fig8Point compares LoRA operator implementations at one (distribution,
@@ -93,14 +95,21 @@ func Fig8() []Fig8Point {
 	return points
 }
 
-// FormatFig8 renders the comparison table.
-func FormatFig8(points []Fig8Point) string {
-	t := newTable("dist", "batch", "Loop", "Gather-BMM", "Gather", "BMM", "SGMV")
+// Fig8Report renders the comparison table.
+func Fig8Report(points []Fig8Point) *Report {
+	r := &Report{Title: "Figure 8 — LoRA operator implementations (rank 16, h=4096):"}
 	for _, p := range points {
-		t.add(p.Dist.String(), fmt.Sprint(p.Batch),
-			us(p.Loop), us(p.GatherBMM), us(p.Gather), us(p.BMM), us(p.SGMV))
+		r.Rows = append(r.Rows, Row{Cells: []Cell{
+			{Name: "dist", Header: "dist", Value: p.Dist.String()},
+			{Name: "batch", Header: "batch", Value: p.Batch},
+			{Name: "loop_us", Header: "Loop", Format: "%.1fµs", Value: micros(p.Loop)},
+			{Name: "gather_bmm_us", Header: "Gather-BMM", Format: "%.1fµs", Value: micros(p.GatherBMM)},
+			{Name: "gather_us", Header: "Gather", Format: "%.1fµs", Value: micros(p.Gather)},
+			{Name: "bmm_us", Header: "BMM", Format: "%.1fµs", Value: micros(p.BMM)},
+			{Name: "sgmv_us", Header: "SGMV", Format: "%.1fµs", Value: micros(p.SGMV)},
+		}})
 	}
-	return "Figure 8 — LoRA operator implementations (rank 16, h=4096):\n" + t.String()
+	return r
 }
 
 // Fig9Point is the SGMV operator latency at one (rank, distribution,
@@ -135,8 +144,23 @@ func Fig9() []Fig9Point {
 	return points
 }
 
-// FormatFig9 renders one table per rank.
-func FormatFig9(points []Fig9Point) string {
+// Fig9Report renders one pivoted text table per rank over one CSV row
+// per point.
+func Fig9Report(points []Fig9Point) *Report {
+	r := &Report{Title: formatFig9(points)}
+	for _, p := range points {
+		r.Rows = append(r.Rows, Row{Cells: []Cell{
+			{Name: "rank", Value: p.Rank},
+			{Name: "dist", Value: p.Dist.String()},
+			{Name: "batch", Value: p.Batch},
+			{Name: "latency_us", Value: micros(p.Latency)},
+		}})
+	}
+	return r
+}
+
+// formatFig9 renders one table per rank.
+func formatFig9(points []Fig9Point) string {
 	out := "Figure 9 — SGMV operator across LoRA ranks (h=4096):\n"
 	for _, rank := range Fig9Ranks {
 		t := newTable(append([]string{fmt.Sprintf("r=%d dist\\batch", rank)}, batch64Headers()...)...)

@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -462,127 +461,66 @@ func fetchServeStats(base string) (*serve.Stats, error) {
 	return &st, nil
 }
 
-// FormatOverload renders the sweep as an aligned table, pairing each
-// factor's shedding-off and shedding-on rows.
-func FormatOverload(points []OverloadPoint) string {
-	t := newTable("load", "shedding", "offered", "rate", "completed", "slo met", "goodput",
-		"p50", "p99", "sim p99", "queue peak", "sim peak", "cap", "429s", "shed", "retries")
-	for _, p := range points {
-		cap := "inf"
-		if p.QueueCap > 0 {
-			cap = strconv.Itoa(p.QueueCap)
-		}
-		t.add(
-			fmt.Sprintf("%gx", p.Factor),
-			onOff(p.Shedding),
-			strconv.Itoa(p.Offered),
-			fmt.Sprintf("%.1f/s", p.OfferedRate),
-			strconv.Itoa(p.Completed),
-			strconv.Itoa(p.SLOMet),
-			fmt.Sprintf("%.1f%%", 100*p.Goodput),
-			fmt.Sprintf("%.1fs", p.P50),
-			fmt.Sprintf("%.1fs", p.P99),
-			fmt.Sprintf("%.1fs", p.SimP99),
-			strconv.Itoa(p.QueuePeak),
-			strconv.Itoa(p.SimQueuePeak),
-			cap,
-			strconv.FormatInt(p.HTTP429, 10),
-			strconv.FormatInt(p.Shed, 10),
-			strconv.FormatInt(p.Retries, 10))
-	}
-	return "Overload — open-loop traffic through the live HTTP stack, shedding off vs on\n" +
-		"(sim p99 / sim peak: the offline sim on the same trace, no admission cap):\n" + t.String()
-}
-
-// OverloadCSV writes the sweep as CSV, one row per run.
-func OverloadCSV(out io.Writer, points []OverloadPoint) error {
-	w := csv.NewWriter(out)
-	if err := w.Write([]string{"load_factor", "shedding", "offered", "offered_rate_rps",
-		"completed", "slo_met", "goodput", "p50_s", "p99_s", "sim_p99_s", "queue_peak",
-		"sim_queue_peak", "queue_cap", "http_429", "rejected", "shed", "retries",
-		"retry_succeeded"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if err := w.Write([]string{
-			fmt.Sprintf("%g", p.Factor),
-			onOff(p.Shedding),
-			strconv.Itoa(p.Offered),
-			fmt.Sprintf("%.2f", p.OfferedRate),
-			strconv.Itoa(p.Completed),
-			strconv.Itoa(p.SLOMet),
-			fmt.Sprintf("%.4f", p.Goodput),
-			fmt.Sprintf("%.3f", p.P50),
-			fmt.Sprintf("%.3f", p.P99),
-			fmt.Sprintf("%.3f", p.SimP99),
-			strconv.Itoa(p.QueuePeak),
-			strconv.Itoa(p.SimQueuePeak),
-			strconv.Itoa(p.QueueCap),
-			strconv.FormatInt(p.HTTP429, 10),
-			strconv.FormatInt(p.Rejected, 10),
-			strconv.FormatInt(p.Shed, 10),
-			strconv.FormatInt(p.Retries, 10),
-			strconv.FormatInt(p.RetrySucceeded, 10),
-		}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
-// OverloadRecords flattens the sweep into bench records: one per run,
+// OverloadReport renders the sweep, one row and bench record per run,
 // plus one off/on comparison record per load factor carrying the
 // goodput retention the admission layer is accountable for. Retention is
 // computed on +1-smoothed SLO-met counts so a zero-goodput shedding-off
 // cell (total congestive collapse) still yields a finite, gateable
 // ratio.
-func OverloadRecords(points []OverloadPoint) []BenchRecord {
-	var recs []BenchRecord
-	byFactor := map[float64][2]*OverloadPoint{}
-	for i := range points {
-		p := &points[i]
-		recs = append(recs, BenchRecord{
-			Experiment: "overload",
-			Name:       fmt.Sprintf("x%g/shed=%s", p.Factor, onOff(p.Shedding)),
-			Metrics: map[string]float64{
-				"goodput":        p.Goodput,
-				"slo_met":        float64(p.SLOMet),
-				"completed":      float64(p.Completed),
-				"p99_s":          p.P99,
-				"sim_p99_s":      p.SimP99,
-				"queue_peak":     float64(p.QueuePeak),
-				"sim_queue_peak": float64(p.SimQueuePeak),
-				"http_429":       float64(p.HTTP429),
-				"shed":           float64(p.Shed),
-				"retries":        float64(p.Retries),
-			},
-		})
-		pair := byFactor[p.Factor]
-		if p.Shedding {
-			pair[1] = p
-		} else {
-			pair[0] = p
-		}
-		byFactor[p.Factor] = pair
+func OverloadReport(points []OverloadPoint) *Report {
+	r := &Report{
+		Experiment: "overload",
+		Title: "Overload — open-loop traffic through the live HTTP stack, shedding off vs on\n" +
+			"(sim p99 / sim peak: the offline sim on the same trace, no admission cap):",
 	}
+	shed := map[float64]OverloadPoint{} // each factor's shedding-on run
 	for _, p := range points {
-		pair := byFactor[p.Factor]
-		if p.Shedding || pair[0] == nil || pair[1] == nil {
-			continue // emit once per factor, from the off row
+		cap := "inf"
+		if p.QueueCap > 0 {
+			cap = strconv.Itoa(p.QueueCap)
 		}
-		off, on := pair[0], pair[1]
+		r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("x%g/shed=%s", p.Factor, onOff(p.Shedding)), Cells: []Cell{
+			{Name: "load_factor", Header: "load", Format: "%gx", Value: p.Factor},
+			{Name: "shedding", Header: "shedding", Value: onOff(p.Shedding)},
+			{Name: "offered", Header: "offered", Value: p.Offered},
+			{Name: "offered_rate_rps", Header: "rate", Format: "%.1f/s", Value: p.OfferedRate},
+			{Name: "completed", Header: "completed", Value: p.Completed},
+			{Name: "slo_met", Header: "slo met", Value: p.SLOMet},
+			{Name: "goodput", Value: p.Goodput},
+			{Header: "goodput", Format: "%.1f%%", Value: 100 * p.Goodput},
+			{Name: "p50_s", Header: "p50", Format: "%.1fs", Value: p.P50},
+			{Name: "p99_s", Header: "p99", Format: "%.1fs", Value: p.P99},
+			{Name: "sim_p99_s", Header: "sim p99", Format: "%.1fs", Value: p.SimP99},
+			{Name: "queue_peak", Header: "queue peak", Value: p.QueuePeak},
+			{Name: "sim_queue_peak", Header: "sim peak", Value: p.SimQueuePeak},
+			{Name: "queue_cap", Value: p.QueueCap},
+			{Header: "cap", Value: cap},
+			{Name: "http_429", Header: "429s", Value: p.HTTP429},
+			{Name: "rejected", Value: p.Rejected},
+			{Name: "shed", Header: "shed", Value: p.Shed},
+			{Name: "retries", Header: "retries", Value: p.Retries},
+			{Name: "retry_succeeded", Value: p.RetrySucceeded},
+		}})
+		if p.Shedding {
+			shed[p.Factor] = p
+		}
+	}
+	for _, off := range points {
+		on, ok := shed[off.Factor]
+		if off.Shedding || !ok {
+			continue
+		}
 		m := map[string]float64{
 			"goodput_retention": float64(on.SLOMet+1) / float64(off.SLOMet+1),
 		}
 		if on.QueuePeak > 0 {
 			m["queue_compression"] = float64(off.QueuePeak) / float64(on.QueuePeak)
 		}
-		recs = append(recs, BenchRecord{
+		r.Derived = append(r.Derived, BenchRecord{
 			Experiment: "overload",
-			Name:       fmt.Sprintf("x%g/shedding-gain", p.Factor),
+			Name:       fmt.Sprintf("x%g/shedding-gain", off.Factor),
 			Metrics:    m,
 		})
 	}
-	return recs
+	return r
 }

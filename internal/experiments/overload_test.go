@@ -81,7 +81,7 @@ func TestOverloadSmoke(t *testing.T) {
 		t.Fatal("server admission counters never moved")
 	}
 
-	recs := OverloadRecords(points)
+	recs := OverloadReport(points).Records()
 	var gain map[string]float64
 	for _, r := range recs {
 		if r.Name == "x4/shedding-gain" {
@@ -95,11 +95,11 @@ func TestOverloadSmoke(t *testing.T) {
 		t.Fatalf("goodput_retention = %v, want > 0", gain["goodput_retention"])
 	}
 
-	if s := FormatOverload(points); s == "" {
+	if s := OverloadReport(points).Text(); s == "" {
 		t.Fatal("empty table")
 	}
 	var buf bytes.Buffer
-	if err := OverloadCSV(&buf, points); err != nil {
+	if err := OverloadReport(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

@@ -236,18 +236,27 @@ func ComparePolicies(opts PolicyCompareOptions) ([]PolicyComparePoint, error) {
 	return points, nil
 }
 
-// FormatPolicyCompare renders the head-to-head as an aligned table.
-func FormatPolicyCompare(points []PolicyComparePoint) string {
-	t := newTable("workload", "policy", "throughput", "busy", "spread", "stalls", "adapter evictions", "migrations", "queue peak")
-	for _, p := range points {
-		t.add(p.Workload, p.Policy,
-			fmt.Sprintf("%.0f tok/s", p.Throughput),
-			fmt.Sprintf("%.1f%%", 100*p.BusyFrac),
-			fmt.Sprintf("%.1f%%", 100*p.UtilSpread),
-			fmt.Sprint(p.AdapterStalls),
-			fmt.Sprint(p.AdapterEvictions),
-			fmt.Sprint(p.Migrations),
-			fmt.Sprint(p.QueuePeak))
+// PoliciesReport renders the head-to-head, one row and bench record per
+// (workload, policy) cell.
+func PoliciesReport(points []PolicyComparePoint) *Report {
+	r := &Report{
+		Experiment: "policies",
+		Title:      "Scheduling-policy comparison (store-pressured fleet, Poisson arrivals):",
 	}
-	return "Scheduling-policy comparison (store-pressured fleet, Poisson arrivals):\n" + t.String()
+	for _, p := range points {
+		r.Rows = append(r.Rows, Row{Name: p.Workload + "/" + p.Policy, Cells: []Cell{
+			{Name: "workload", Header: "workload", Value: p.Workload},
+			{Name: "policy", Header: "policy", Value: p.Policy},
+			{Name: "throughput_tok_s", Header: "throughput", Format: "%.0f tok/s", Value: p.Throughput},
+			{Name: "busy_frac", Value: p.BusyFrac},
+			{Header: "busy", Format: "%.1f%%", Value: 100 * p.BusyFrac},
+			{Name: "util_spread", Value: p.UtilSpread},
+			{Header: "spread", Format: "%.1f%%", Value: 100 * p.UtilSpread},
+			{Name: "adapter_stalls", Header: "stalls", Value: p.AdapterStalls},
+			{Name: "adapter_evictions", Header: "adapter evictions", Value: p.AdapterEvictions},
+			{Name: "migrations", Header: "migrations", Value: p.Migrations},
+			{Name: "queue_peak", Header: "queue peak", Value: p.QueuePeak},
+		}})
+	}
+	return r
 }

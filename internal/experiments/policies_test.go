@@ -83,17 +83,17 @@ func TestPolicyCompareCSVAndFormat(t *testing.T) {
 		AdapterStalls: 2, AdapterEvictions: 3, Migrations: 4, QueuePeak: 5,
 	}}
 	var buf bytes.Buffer
-	if err := PolicyCompareCSV(&buf, points); err != nil {
+	if err := PoliciesReport(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
 	if !strings.Contains(got, "workload,policy,throughput_tok_s,busy_frac,util_spread,adapter_stalls,adapter_evictions,migrations,queue_peak") {
 		t.Fatalf("missing header: %q", got)
 	}
-	if !strings.Contains(got, "Skewed,affinity,123.4,0.2500,0.1000,2,3,4,5") {
+	if !strings.Contains(got, "Skewed,affinity,123.4,0.25,0.1,2,3,4,5") {
 		t.Fatalf("missing row: %q", got)
 	}
-	if text := FormatPolicyCompare(points); !strings.Contains(text, "Skewed") || !strings.Contains(text, "affinity") {
+	if text := PoliciesReport(points).Text(); !strings.Contains(text, "Skewed") || !strings.Contains(text, "affinity") {
 		t.Fatalf("format output missing cells: %q", text)
 	}
 }

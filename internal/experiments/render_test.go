@@ -56,27 +56,21 @@ func scaleFixture() []ScalePoint {
 // -update to rewrite testdata/ after an intended output change.
 func TestRenderGoldens(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		text    string
-		csv     func(*bytes.Buffer) error
-		records []BenchRecord
+		name   string
+		report *Report
 	}{
-		{"overload", FormatOverload(overloadFixture()),
-			func(b *bytes.Buffer) error { return OverloadCSV(b, overloadFixture()) },
-			OverloadRecords(overloadFixture())},
-		{"scale", FormatScale(scaleFixture()),
-			func(b *bytes.Buffer) error { return ScaleCSV(b, scaleFixture()) },
-			ScaleRecords(scaleFixture())},
+		{"overload", OverloadReport(overloadFixture())},
+		{"scale", ScaleReport(scaleFixture())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var csv, json bytes.Buffer
-			if err := tc.csv(&csv); err != nil {
+			if err := tc.report.CSV(&csv); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteBenchJSON(&json, tc.records); err != nil {
+			if err := WriteBenchJSON(&json, tc.report.Records()); err != nil {
 				t.Fatal(err)
 			}
-			golden(t, tc.name+".txt", []byte(tc.text))
+			golden(t, tc.name+".txt", []byte(tc.report.Text()))
 			golden(t, tc.name+".csv", csv.Bytes())
 			golden(t, tc.name+".json", json.Bytes())
 		})

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"runtime"
-	"strconv"
 	"time"
 
 	"punica/internal/cluster"
@@ -324,115 +321,52 @@ func Scale(opts ScaleOptions) ([]ScalePoint, error) {
 	return points, nil
 }
 
-// FormatScale renders the sweep as an aligned table.
-func FormatScale(points []ScalePoint) string {
-	t := newTable("gpus", "requests", "cells", "workers", "wall", "events", "events/s", "allocs/event", "bytes/event", "spills", "stalls", "sim makespan", "tok/s", "digest")
-	for _, p := range points {
-		t.add(
-			strconv.Itoa(p.GPUs),
-			strconv.Itoa(p.Requests),
-			strconv.Itoa(p.Cells),
-			strconv.Itoa(p.Workers),
-			fmt.Sprintf("%.2fs", p.WallSeconds),
-			strconv.FormatInt(p.Events, 10),
-			fmt.Sprintf("%.0f", p.EventsPerSec),
-			fmt.Sprintf("%.1f", p.AllocsPerEvent),
-			fmt.Sprintf("%.0f", p.BytesPerEvent),
-			strconv.FormatInt(p.Spills, 10),
-			strconv.FormatInt(p.BarrierStalls, 10),
-			fmt.Sprintf("%.0fs", p.SimMakespan.Seconds()),
-			fmt.Sprintf("%.0f", p.Throughput),
-			p.Digest)
-	}
-	return "Scale harness — simulator control-plane cost (short-request Skewed trace):\n" + t.String()
-}
-
-// ScaleCSV writes the sweep as CSV, one row per sweep point plus one
-// `cell` row per simulation cell of sharded points (cell = -1 marks
-// the fleet-level row; per-cell rows carry that cell's events/sec,
-// spill counts and barrier stalls).
-func ScaleCSV(out io.Writer, points []ScalePoint) error {
-	w := csv.NewWriter(out)
-	if err := w.Write([]string{"gpus", "requests", "cells", "workers", "cell",
-		"wall_seconds", "events", "events_per_sec", "allocs_per_event",
-		"bytes_per_event", "sim_makespan_s", "finished", "throughput_tok_s",
-		"queue_peak", "epochs", "barrier_stalls", "spills_in", "spills_out",
-		"digest"}); err != nil {
-		return err
+// ScaleReport renders the sweep: one text row, CSV row and bench record
+// per sweep point, each followed by one CSV row per simulation cell of a
+// sharded point. A point's cell column is -1; a cell row carries that
+// cell's events/sec, spill counts and barrier stalls.
+func ScaleReport(points []ScalePoint) *Report {
+	r := &Report{
+		Experiment: "scale",
+		Title:      "Scale harness — simulator control-plane cost (short-request Skewed trace):",
 	}
 	for _, p := range points {
-		if err := w.Write([]string{
-			strconv.Itoa(p.GPUs),
-			strconv.Itoa(p.Requests),
-			strconv.Itoa(p.Cells),
-			strconv.Itoa(p.Workers),
-			"-1",
-			fmt.Sprintf("%.3f", p.WallSeconds),
-			strconv.FormatInt(p.Events, 10),
-			fmt.Sprintf("%.0f", p.EventsPerSec),
-			fmt.Sprintf("%.2f", p.AllocsPerEvent),
-			fmt.Sprintf("%.0f", p.BytesPerEvent),
-			fmt.Sprintf("%.1f", p.SimMakespan.Seconds()),
-			strconv.FormatInt(p.Finished, 10),
-			fmt.Sprintf("%.0f", p.Throughput),
-			strconv.Itoa(p.QueuePeak),
-			strconv.FormatInt(p.Epochs, 10),
-			strconv.FormatInt(p.BarrierStalls, 10),
-			strconv.FormatInt(p.Spills, 10),
-			strconv.FormatInt(p.Spills, 10),
-			p.Digest,
-		}); err != nil {
-			return err
-		}
+		r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("%dgpus/%dreqs", p.GPUs, p.Requests), Cells: []Cell{
+			{Name: "gpus", Header: "gpus", Value: p.GPUs},
+			{Name: "requests", Header: "requests", Value: p.Requests},
+			{Name: "cells", Header: "cells", Value: p.Cells},
+			{Name: "workers", Header: "workers", Value: p.Workers},
+			// A string, so the -1 marker stays out of the record.
+			{Name: "cell", Value: "-1"},
+			{Name: "wall_seconds", Header: "wall", Format: "%.2fs", Value: p.WallSeconds},
+			{Name: "events", Header: "events", Value: p.Events},
+			{Name: "events_per_sec", Header: "events/s", Format: "%.0f", Value: p.EventsPerSec},
+			{Name: "allocs_per_event", Header: "allocs/event", Format: "%.1f", Value: p.AllocsPerEvent},
+			{Name: "bytes_per_event", Header: "bytes/event", Format: "%.0f", Value: p.BytesPerEvent},
+			{Name: "spills", Header: "spills", Value: p.Spills},
+			{Name: "barrier_stalls", Header: "stalls", Value: p.BarrierStalls},
+			{Name: "sim_makespan_s", Header: "sim makespan", Format: "%.0fs", Value: p.SimMakespan.Seconds()},
+			{Name: "finished", Value: p.Finished},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: p.Throughput},
+			{Name: "queue_peak", Value: p.QueuePeak},
+			{Name: "epochs", Value: p.Epochs},
+			{Name: "digest", Header: "digest", Value: p.Digest},
+		}})
 		for _, d := range p.PerCell {
-			if err := w.Write([]string{
-				strconv.Itoa(d.GPUs),
-				strconv.Itoa(d.Requests),
-				strconv.Itoa(p.Cells),
-				strconv.Itoa(p.Workers),
-				strconv.Itoa(d.Cell),
-				"",
-				strconv.FormatInt(d.Events, 10),
-				fmt.Sprintf("%.0f", d.EventsPerSec),
-				"", "", "", "", "", "",
-				strconv.FormatInt(p.Epochs, 10),
-				strconv.FormatInt(d.BarrierStalls, 10),
-				strconv.FormatInt(d.SpillsIn, 10),
-				strconv.FormatInt(d.SpillsOut, 10),
-				"",
-			}); err != nil {
-				return err
-			}
+			r.Rows = append(r.Rows, Row{Cells: []Cell{
+				{Name: "gpus", Value: d.GPUs},
+				{Name: "requests", Value: d.Requests},
+				{Name: "cells", Value: p.Cells},
+				{Name: "workers", Value: p.Workers},
+				{Name: "cell", Value: d.Cell},
+				{Name: "events", Value: d.Events},
+				{Name: "events_per_sec", Value: d.EventsPerSec},
+				{Name: "barrier_stalls", Value: d.BarrierStalls},
+				{Name: "epochs", Value: p.Epochs},
+				{Name: "spills_in", Value: d.SpillsIn},
+				{Name: "spills_out", Value: d.SpillsOut},
+			}})
 		}
 	}
-	w.Flush()
-	return w.Error()
-}
-
-// ScaleRecords flattens the sweep into bench records, one per sweep
-// point.
-func ScaleRecords(points []ScalePoint) []BenchRecord {
-	var recs []BenchRecord
-	for _, p := range points {
-		recs = append(recs, BenchRecord{
-			Experiment: "scale",
-			Name:       fmt.Sprintf("%dgpus/%dreqs", p.GPUs, p.Requests),
-			Metrics: map[string]float64{
-				"wall_seconds":     p.WallSeconds,
-				"events":           float64(p.Events),
-				"events_per_sec":   p.EventsPerSec,
-				"allocs_per_event": p.AllocsPerEvent,
-				"bytes_per_event":  p.BytesPerEvent,
-				"sim_makespan_s":   p.SimMakespan.Seconds(),
-				"throughput_tok_s": p.Throughput,
-				"queue_peak":       float64(p.QueuePeak),
-				"cells":            float64(p.Cells),
-				"workers":          float64(p.Workers),
-				"epochs":           float64(p.Epochs),
-				"barrier_stalls":   float64(p.BarrierStalls),
-				"spills":           float64(p.Spills),
-			},
-		})
-	}
-	return recs
+	return r
 }

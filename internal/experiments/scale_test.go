@@ -26,13 +26,13 @@ func TestScaleCellRunsAndMeasures(t *testing.T) {
 		t.Fatalf("run did no simulated work: %+v", p)
 	}
 	var csvOut, jsonName strings.Builder
-	if err := ScaleCSV(&csvOut, []ScalePoint{p}); err != nil {
+	if err := ScaleReport([]ScalePoint{p}).CSV(&csvOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(csvOut.String(), "gpus,requests,cells,workers,cell,wall_seconds") {
 		t.Fatalf("csv header: %q", csvOut.String()[:40])
 	}
-	recs := ScaleRecords([]ScalePoint{p})
+	recs := ScaleReport([]ScalePoint{p}).Records()
 	if len(recs) != 1 || recs[0].Experiment != "scale" {
 		t.Fatalf("records: %+v", recs)
 	}
@@ -120,7 +120,7 @@ func TestScaleShardedDigestInvariantAcrossWorkers(t *testing.T) {
 	}
 	// Per-cell rows land in the CSV with their own spill/stall columns.
 	var out strings.Builder
-	if err := ScaleCSV(&out, []ScalePoint{seq}); err != nil {
+	if err := ScaleReport([]ScalePoint{seq}).CSV(&out); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(strings.TrimSpace(out.String()), "\n") + 1; lines != 1+1+4 {

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"punica/internal/cluster"
@@ -184,56 +183,27 @@ func Soak(opts SoakOptions) (*SoakResult, error) {
 	}, nil
 }
 
-// FormatSoak renders the result.
-func FormatSoak(r *SoakResult) string {
-	out := fmt.Sprintf("Soak — %s of live traffic, %d GPUs (autoscaled ≥%d), %.1f faults/GPU-hour, fairness %s:\n",
-		r.Opts.Horizon, r.Opts.NumGPUs, (r.Opts.NumGPUs+1)/2, r.Opts.FaultRate, onOff(!r.Opts.NoFairness))
-	t := newTable("requests", "finished", "tok/s", "makespan", "p50", "p99", "migrations", "evictions", "stalls", "queue peak", "tenants", "stall skew", "jain", "digest")
-	t.add(
-		fmt.Sprint(r.Requests),
-		fmt.Sprint(r.Finished),
-		fmt.Sprintf("%.0f", r.Throughput),
-		fmt.Sprintf("%.0fs", r.Makespan.Seconds()),
-		fmt.Sprintf("%.2fs", r.P50),
-		fmt.Sprintf("%.2fs", r.P99),
-		fmt.Sprint(r.Migrations),
-		fmt.Sprint(r.Evictions),
-		fmt.Sprint(r.AdapterStalls),
-		fmt.Sprint(r.QueuePeak),
-		fmt.Sprint(r.TenantCount),
-		fmt.Sprintf("%.1f", r.StallSkew),
-		fmt.Sprintf("%.3f", r.JainFairness),
-		r.Digest)
-	return out + t.String()
-}
-
-// SoakCSV writes the single-row summary as CSV.
-func SoakCSV(out io.Writer, r *SoakResult) error {
-	_, err := fmt.Fprintf(out,
-		"requests,finished,throughput_tok_s,makespan_s,p50_s,p99_s,migrations,evictions,adapter_stalls,queue_peak,tenants,stall_skew,jain,digest\n"+
-			"%d,%d,%.1f,%.1f,%.3f,%.3f,%d,%d,%d,%d,%d,%.2f,%.4f,%s\n",
-		r.Requests, r.Finished, r.Throughput, r.Makespan.Seconds(), r.P50, r.P99,
-		r.Migrations, r.Evictions, r.AdapterStalls, r.QueuePeak, r.TenantCount,
-		r.StallSkew, r.JainFairness, r.Digest)
-	return err
-}
-
-// SoakRecords flattens the result into bench records.
-func SoakRecords(r *SoakResult) []BenchRecord {
-	return []BenchRecord{{
+// SoakReport renders the result as one row and bench record.
+func SoakReport(r *SoakResult) *Report {
+	return &Report{
 		Experiment: "soak",
-		Name:       fmt.Sprintf("%s/%dgpus", r.Opts.Horizon, r.Opts.NumGPUs),
-		Metrics: map[string]float64{
-			"throughput_tok_s": r.Throughput,
-			"p50_s":            r.P50,
-			"p99_s":            r.P99,
-			"adapter_stalls":   float64(r.AdapterStalls),
-			"queue_peak":       float64(r.QueuePeak),
-			"tenants":          float64(r.TenantCount),
-			"stall_skew":       r.StallSkew,
-			"jain":             r.JainFairness,
-			"migrations":       float64(r.Migrations),
-			"evictions":        float64(r.Evictions),
-		},
-	}}
+		Title: fmt.Sprintf("Soak — %s of live traffic, %d GPUs (autoscaled ≥%d), %.1f faults/GPU-hour, fairness %s:",
+			r.Opts.Horizon, r.Opts.NumGPUs, (r.Opts.NumGPUs+1)/2, r.Opts.FaultRate, onOff(!r.Opts.NoFairness)),
+		Rows: []Row{{Name: fmt.Sprintf("%s/%dgpus", r.Opts.Horizon, r.Opts.NumGPUs), Cells: []Cell{
+			{Name: "requests", Header: "requests", Value: r.Requests},
+			{Name: "finished", Header: "finished", Value: r.Finished},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: r.Throughput},
+			{Name: "makespan_s", Header: "makespan", Format: "%.0fs", Value: r.Makespan.Seconds()},
+			{Name: "p50_s", Header: "p50", Format: "%.2fs", Value: r.P50},
+			{Name: "p99_s", Header: "p99", Format: "%.2fs", Value: r.P99},
+			{Name: "migrations", Header: "migrations", Value: r.Migrations},
+			{Name: "evictions", Header: "evictions", Value: r.Evictions},
+			{Name: "adapter_stalls", Header: "stalls", Value: r.AdapterStalls},
+			{Name: "queue_peak", Header: "queue peak", Value: r.QueuePeak},
+			{Name: "tenants", Header: "tenants", Value: r.TenantCount},
+			{Name: "stall_skew", Header: "stall skew", Format: "%.1f", Value: r.StallSkew},
+			{Name: "jain", Header: "jain", Format: "%.3f", Value: r.JainFairness},
+			{Name: "digest", Header: "digest", Value: r.Digest},
+		}}},
+	}
 }

@@ -114,9 +114,26 @@ func runTextGen70B(model models.Config, sys core.SystemConfig, k dist.Kind, opts
 	return c.Run(reqs)
 }
 
-// FormatFig11 renders the throughput comparison as a table with systems
+// Fig11Report renders a system comparison (fig11 or fig12, named by
+// experiment) under title as one pivoted text table over one CSV row and
+// bench record per (distribution, system) bar.
+func Fig11Report(experiment, title string, rows []Fig11Row) *Report {
+	r := &Report{Experiment: experiment, Title: formatFig11(title, rows)}
+	for _, row := range rows {
+		r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("%s/%s/%s", row.Model, row.Dist, row.System), Cells: []Cell{
+			{Name: "model", Value: row.Model},
+			{Name: "dist", Value: row.Dist.String()},
+			{Name: "system", Value: row.System},
+			{Name: "throughput_tok_s", Value: row.Throughput},
+			{Name: "wasted_decodes", Value: row.Wasted},
+		}})
+	}
+	return r
+}
+
+// formatFig11 renders the throughput comparison as a table with systems
 // as rows and distributions as columns.
-func FormatFig11(title string, rows []Fig11Row) string {
+func formatFig11(title string, rows []Fig11Row) string {
 	t := newTable("system", "Distinct", "Uniform", "Skewed", "Identical")
 	systems := []string{}
 	seen := map[string]bool{}

@@ -12,11 +12,8 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"strconv"
 	"time"
 
 	"punica/internal/cluster"
@@ -240,27 +237,56 @@ func Traffic(opts TrafficOptions) ([]TrafficPoint, error) {
 	return points, nil
 }
 
-// FormatTraffic renders the sweep as an aligned table, pairing each
-// peak's fairness-off and fairness-on rows.
-func FormatTraffic(points []TrafficPoint) string {
-	t := newTable("peak", "fairness", "requests", "tok/s", "p50", "p99", "tail p99", "stall skew", "jain", "stalls", "queue peak", "tenants", "digest")
-	for _, p := range points {
-		t.add(
-			fmt.Sprintf("%g", p.SpikePeak),
-			onOff(p.Fairness),
-			strconv.Itoa(p.Requests),
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%.2fs", p.P50),
-			fmt.Sprintf("%.2fs", p.P99),
-			fmt.Sprintf("%.2fs", p.TailP99),
-			fmt.Sprintf("%.1f", p.StallSkew),
-			fmt.Sprintf("%.3f", p.JainFairness),
-			strconv.FormatInt(p.AdapterStalls, 10),
-			strconv.Itoa(p.QueuePeak),
-			strconv.Itoa(p.TenantCount),
-			p.Digest)
+// TrafficReport renders the sweep, one row and bench record per run,
+// plus one off/on comparison record per spike peak carrying the skew
+// ratio and tail-p99 gain the fairness layer is accountable for.
+func TrafficReport(points []TrafficPoint) *Report {
+	r := &Report{
+		Experiment: "traffic",
+		Title:      "Traffic — flash-crowd sweep, fairness off vs on over identical traces:",
 	}
-	return "Traffic — flash-crowd sweep, fairness off vs on over identical traces:\n" + t.String()
+	fair := map[float64]TrafficPoint{} // each peak's fairness-on run
+	for _, p := range points {
+		r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("peak%g/fair=%s", p.SpikePeak, onOff(p.Fairness)), Cells: []Cell{
+			{Name: "spike_peak", Header: "peak", Format: "%g", Value: p.SpikePeak},
+			{Name: "fairness", Header: "fairness", Value: onOff(p.Fairness)},
+			{Name: "requests", Header: "requests", Value: p.Requests},
+			{Name: "finished", Value: p.Finished},
+			{Name: "throughput_tok_s", Header: "tok/s", Format: "%.0f", Value: p.Throughput},
+			{Name: "makespan_s", Value: p.Makespan.Seconds()},
+			{Name: "p50_s", Header: "p50", Format: "%.2fs", Value: p.P50},
+			{Name: "p99_s", Header: "p99", Format: "%.2fs", Value: p.P99},
+			{Name: "tail_p99_s", Header: "tail p99", Format: "%.2fs", Value: p.TailP99},
+			{Name: "stall_skew", Header: "stall skew", Format: "%.1f", Value: p.StallSkew},
+			{Name: "jain", Header: "jain", Format: "%.3f", Value: p.JainFairness},
+			{Name: "adapter_stalls", Header: "stalls", Value: p.AdapterStalls},
+			{Name: "queue_peak", Header: "queue peak", Value: p.QueuePeak},
+			{Name: "tenants", Header: "tenants", Value: p.TenantCount},
+			{Name: "digest", Header: "digest", Value: p.Digest},
+		}})
+		if p.Fairness {
+			fair[p.SpikePeak] = p
+		}
+	}
+	for _, off := range points {
+		on, ok := fair[off.SpikePeak]
+		if off.Fairness || !ok {
+			continue
+		}
+		m := map[string]float64{"jain_gain": on.JainFairness - off.JainFairness}
+		if on.StallSkew > 0 {
+			m["skew_ratio"] = off.StallSkew / on.StallSkew
+		}
+		if on.TailP99 > 0 {
+			m["tail_p99_gain"] = off.TailP99 / on.TailP99
+		}
+		r.Derived = append(r.Derived, BenchRecord{
+			Experiment: "traffic",
+			Name:       fmt.Sprintf("peak%g/fairness-gain", off.SpikePeak),
+			Metrics:    m,
+		})
+	}
+	return r
 }
 
 func onOff(b bool) string {
@@ -268,93 +294,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-// TrafficCSV writes the sweep as CSV, one row per run.
-func TrafficCSV(out io.Writer, points []TrafficPoint) error {
-	w := csv.NewWriter(out)
-	if err := w.Write([]string{"spike_peak", "fairness", "requests", "finished",
-		"throughput_tok_s", "makespan_s", "p50_s", "p99_s", "tail_p99_s",
-		"stall_skew", "jain", "adapter_stalls", "queue_peak", "tenants",
-		"digest"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if err := w.Write([]string{
-			fmt.Sprintf("%g", p.SpikePeak),
-			onOff(p.Fairness),
-			strconv.Itoa(p.Requests),
-			strconv.FormatInt(p.Finished, 10),
-			fmt.Sprintf("%.1f", p.Throughput),
-			fmt.Sprintf("%.1f", p.Makespan.Seconds()),
-			fmt.Sprintf("%.3f", p.P50),
-			fmt.Sprintf("%.3f", p.P99),
-			fmt.Sprintf("%.3f", p.TailP99),
-			fmt.Sprintf("%.2f", p.StallSkew),
-			fmt.Sprintf("%.4f", p.JainFairness),
-			strconv.FormatInt(p.AdapterStalls, 10),
-			strconv.Itoa(p.QueuePeak),
-			strconv.Itoa(p.TenantCount),
-			p.Digest,
-		}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
-// TrafficRecords flattens the sweep into bench records: one per run,
-// plus one off/on comparison record per spike peak carrying the skew
-// ratio and tail-p99 gain the fairness layer is accountable for.
-func TrafficRecords(points []TrafficPoint) []BenchRecord {
-	var recs []BenchRecord
-	byPeak := map[float64][2]*TrafficPoint{}
-	for i := range points {
-		p := &points[i]
-		recs = append(recs, BenchRecord{
-			Experiment: "traffic",
-			Name:       fmt.Sprintf("peak%g/fair=%s", p.SpikePeak, onOff(p.Fairness)),
-			Metrics: map[string]float64{
-				"throughput_tok_s": p.Throughput,
-				"p50_s":            p.P50,
-				"p99_s":            p.P99,
-				"tail_p99_s":       p.TailP99,
-				"stall_skew":       p.StallSkew,
-				"jain":             p.JainFairness,
-				"adapter_stalls":   float64(p.AdapterStalls),
-				"queue_peak":       float64(p.QueuePeak),
-				"tenants":          float64(p.TenantCount),
-			},
-		})
-		pair := byPeak[p.SpikePeak]
-		if p.Fairness {
-			pair[1] = p
-		} else {
-			pair[0] = p
-		}
-		byPeak[p.SpikePeak] = pair
-	}
-	for _, p := range points {
-		pair := byPeak[p.SpikePeak]
-		if p.Fairness || pair[0] == nil || pair[1] == nil {
-			continue // emit once per peak, from the off row
-		}
-		off, on := pair[0], pair[1]
-		m := map[string]float64{
-			"jain_gain": on.JainFairness - off.JainFairness,
-		}
-		if on.StallSkew > 0 {
-			m["skew_ratio"] = off.StallSkew / on.StallSkew
-		}
-		if on.TailP99 > 0 {
-			m["tail_p99_gain"] = off.TailP99 / on.TailP99
-		}
-		recs = append(recs, BenchRecord{
-			Experiment: "traffic",
-			Name:       fmt.Sprintf("peak%g/fairness-gain", p.SpikePeak),
-			Metrics:    m,
-		})
-	}
-	return recs
 }

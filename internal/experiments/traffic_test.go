@@ -97,13 +97,13 @@ func TestTrafficCSVAndRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := TrafficCSV(&buf, points); err != nil {
+	if err := TrafficReport(points).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(strings.TrimSpace(buf.String()), "\n") + 1; lines != len(points)+1 {
 		t.Fatalf("CSV has %d lines, want %d", lines, len(points)+1)
 	}
-	recs := TrafficRecords(points)
+	recs := TrafficReport(points).Records()
 	var gain *BenchRecord
 	for i := range recs {
 		if recs[i].Name == "peak32/fairness-gain" {
@@ -145,10 +145,10 @@ func TestSoakSmoke(t *testing.T) {
 		t.Fatalf("soak digest diverged across identical runs: %s vs %s", a.Digest, b.Digest)
 	}
 	var buf bytes.Buffer
-	if err := SoakCSV(&buf, a); err != nil {
+	if err := SoakReport(a).CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if recs := SoakRecords(a); len(recs) != 1 || recs[0].Experiment != "soak" {
+	if recs := SoakReport(a).Records(); len(recs) != 1 || recs[0].Experiment != "soak" {
 		t.Fatalf("unexpected soak records: %+v", recs)
 	}
 }
