@@ -43,7 +43,7 @@ func main() {
 	defer srvB.Close()
 
 	// The frontend + scheduler process.
-	frontend := remote.NewFrontend([]string{srvA.URL, srvB.URL}, 10*time.Millisecond)
+	frontend := remote.NewFrontendWithOptions([]string{srvA.URL, srvB.URL}, remote.FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer frontend.Close()
 	api := httptest.NewServer(frontend.Handler())
 	defer api.Close()

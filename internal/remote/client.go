@@ -41,8 +41,9 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
 // Client drives one remote runner over HTTP and satisfies sched.Worker,
 // so the unmodified §5.1 scheduler routes across machines. Transport
-// failures degrade safely: CanAdmit answers false, so a dead runner
-// simply attracts no work while it is unreachable. With a RetryPolicy
+// failures degrade safely: Snapshot answers the zero snapshot, which
+// admits nothing, so a dead runner simply attracts no work while it is
+// unreachable. With a RetryPolicy
 // set, transient failures (transport errors, 429, 502/503) are retried
 // with exponential backoff honoring Retry-After; mutating calls carry
 // idempotency keys so a dropped *response* cannot double-apply work.
@@ -66,9 +67,8 @@ type Client struct {
 	retries    atomic.Int64
 	sleep      func(time.Duration) // injectable for tests
 
-	mu       sync.Mutex
-	maxBatch int
-	lastErr  error
+	mu      sync.Mutex
+	lastErr error
 
 	// Conditional-GET cache for /runner/state: stateETag is the last
 	// ETag seen (the runner's state version) and cachedState the body it
@@ -411,7 +411,6 @@ func (c *Client) FetchState() (State, error) {
 		}
 		c.setErr(nil)
 		c.mu.Lock()
-		c.maxBatch = st.MaxBatch
 		c.stateETag = resp.Header.Get("ETag")
 		c.cachedState = st
 		c.haveState = true
@@ -421,8 +420,7 @@ func (c *Client) FetchState() (State, error) {
 }
 
 // Snapshot implements sched.Worker with a single GET /runner/state: the
-// batched view that replaces per-decision CanAdmit + WorkingSet round
-// trips. Transport failures — and an open circuit breaker — return the
+// batched view the scheduler evaluates admission from. Transport failures — and an open circuit breaker — return the
 // zero snapshot, whose CanAdmit is always false: a dead or quarantined
 // runner simply attracts no work.
 func (c *Client) Snapshot() core.Snapshot {
@@ -436,47 +434,21 @@ func (c *Client) Snapshot() core.Snapshot {
 	return st.toSnapshot()
 }
 
-// CanAdmit asks the runner directly (one round-trip); the scheduler
-// evaluates admission from Snapshot instead, but the endpoint stays for
-// diagnostics and external pollers.
-func (c *Client) CanAdmit(r *core.Request) bool {
-	var reply AdmitReply
-	err := c.postJSON("/runner/can_admit", AdmitQuery{
-		PromptLen: r.PromptLen,
-		OutputLen: r.OutputLen,
-		Generated: r.Generated,
-	}, &reply)
-	return err == nil && reply.CanAdmit
-}
-
 // Enqueue implements sched.Worker. The call carries an idempotency key:
 // a retry after a dropped response must not double-admit the request.
 func (c *Client) Enqueue(r *core.Request, _ time.Duration) error {
 	return c.postJSONIdem("/runner/enqueue", fromCore(r), nil)
 }
 
-// WorkingSet implements sched.Worker.
+// WorkingSet is the runner's working-set count from one state fetch (0
+// when the runner is unreachable). The scheduler's idle scans read it
+// instead of a full Snapshot.
 func (c *Client) WorkingSet() int {
 	st, err := c.FetchState()
 	if err != nil {
 		return 0
 	}
 	return st.WorkingSet
-}
-
-// MaxBatch implements sched.Worker.
-func (c *Client) MaxBatch() int {
-	c.mu.Lock()
-	mb := c.maxBatch
-	c.mu.Unlock()
-	if mb > 0 {
-		return mb
-	}
-	st, err := c.FetchState()
-	if err != nil {
-		return core.DefaultMaxBatch
-	}
-	return st.MaxBatch
 }
 
 // Cancel implements sched.Worker.

@@ -46,7 +46,7 @@ func TestRunnerEnqueueAndStream(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	req := &core.Request{ID: 1, Model: 7, PromptLen: 64, OutputLen: 6}
-	if !client.CanAdmit(req) {
+	if snap := client.Snapshot(); !snap.CanAdmit(req) {
 		t.Fatal("fresh runner should admit")
 	}
 	if err := client.Enqueue(req, 0); err != nil {
@@ -81,8 +81,8 @@ func TestRunnerStateAndWorker(t *testing.T) {
 	if st.UUID != "r1" || st.MaxBatch != 8 || st.TotalPages == 0 {
 		t.Fatalf("state malformed: %+v", st)
 	}
-	if client.MaxBatch() != 8 {
-		t.Fatalf("MaxBatch = %d", client.MaxBatch())
+	if snap := client.Snapshot(); snap.MaxBatch != 8 {
+		t.Fatalf("MaxBatch = %d", snap.MaxBatch)
 	}
 	if client.WorkingSet() != 0 {
 		t.Fatal("fresh runner should be empty")
@@ -107,8 +107,7 @@ func TestRunnerStateAndWorker(t *testing.T) {
 // TestClientSnapshotRoundTrip pins the policy framework's remote
 // contract: one GET /runner/state carries the whole scheduling view —
 // admission constraints plus resident adapters with pin state — so a
-// scheduling decision costs one round-trip instead of a CanAdmit +
-// WorkingSet pair per GPU.
+// scheduling decision costs one round-trip per GPU.
 func TestClientSnapshotRoundTrip(t *testing.T) {
 	_, srv := startRunner(t, "r5", 8)
 	client := NewClient(srv.URL)
@@ -162,8 +161,8 @@ func TestRunnerEvictForMigration(t *testing.T) {
 
 func TestClientDegradesSafely(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1") // nothing listens here
-	if client.CanAdmit(&core.Request{PromptLen: 1, OutputLen: 1}) {
-		t.Fatal("unreachable runner must refuse admission")
+	if _, err := client.FetchState(); err == nil {
+		t.Fatal("unreachable runner's state fetch must fail")
 	}
 	if snap := client.Snapshot(); snap.CanAdmit(&core.Request{PromptLen: 1, OutputLen: 1}) {
 		t.Fatal("unreachable runner's zero snapshot must refuse admission")
@@ -182,7 +181,7 @@ func TestClientDegradesSafely(t *testing.T) {
 func TestFrontendEndToEnd(t *testing.T) {
 	_, srvA := startRunner(t, "rA", 0)
 	_, srvB := startRunner(t, "rB", 0)
-	f := NewFrontend([]string{srvA.URL, srvB.URL}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srvA.URL, srvB.URL}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
@@ -244,7 +243,7 @@ func TestFrontendEndToEnd(t *testing.T) {
 
 func TestFrontendQueuesWhenSaturated(t *testing.T) {
 	_, srv := startRunner(t, "rQ", 1) // batch cap 1
-	f := NewFrontend([]string{srv.URL}, 5*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL}, FrontendOptions{DrainInterval: 5 * time.Millisecond})
 	defer f.Close()
 
 	// Two long-ish requests: the second must queue and then complete.
@@ -297,7 +296,7 @@ func TestWireRoundtrip(t *testing.T) {
 func TestRunnerBadRequests(t *testing.T) {
 	_, srv := startRunner(t, "rX", 0)
 	// Malformed JSON on every POST endpoint.
-	for _, path := range []string{"/runner/enqueue", "/runner/can_admit", "/runner/cancel"} {
+	for _, path := range []string{"/runner/enqueue", "/runner/cancel"} {
 		resp, err := http.Post(srv.URL+path, "application/json",
 			bytes.NewReader([]byte("{broken")))
 		if err != nil {
@@ -344,7 +343,14 @@ func TestRunnerLateStreamDrain(t *testing.T) {
 	}
 	// Wait for completion.
 	deadline := time.Now().Add(10 * time.Second)
-	for client.WorkingSet() != 0 {
+	for {
+		st, err := client.FetchState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.WorkingSet == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("generation did not finish")
 		}
@@ -376,7 +382,7 @@ func TestRunnerLateStreamDrain(t *testing.T) {
 
 func TestFrontendStatsWithUnreachableRunner(t *testing.T) {
 	_, srv := startRunner(t, "rOK", 0)
-	f := NewFrontend([]string{srv.URL, "http://127.0.0.1:1"}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL, "http://127.0.0.1:1"}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()
@@ -422,7 +428,7 @@ func TestFrontendStatsWithUnreachableRunner(t *testing.T) {
 
 func TestFrontendBadRequests(t *testing.T) {
 	_, srv := startRunner(t, "rB2", 0)
-	f := NewFrontend([]string{srv.URL}, 10*time.Millisecond)
+	f := NewFrontendWithOptions([]string{srv.URL}, FrontendOptions{DrainInterval: 10 * time.Millisecond})
 	defer f.Close()
 	front := httptest.NewServer(f.Handler())
 	defer front.Close()

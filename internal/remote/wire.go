@@ -53,18 +53,6 @@ func fromCore(r *core.Request) RequestState {
 	}
 }
 
-// AdmitQuery asks whether a runner can take a request right now.
-type AdmitQuery struct {
-	PromptLen int `json:"prompt_len"`
-	OutputLen int `json:"output_len"`
-	Generated int `json:"generated"`
-}
-
-// AdmitReply answers an AdmitQuery.
-type AdmitReply struct {
-	CanAdmit bool `json:"can_admit"`
-}
-
 // CancelRequest identifies a request to cancel or evict.
 type CancelRequest struct {
 	ID int64 `json:"id"`
@@ -139,8 +127,8 @@ type PrefetchReply struct {
 
 // State is a runner's scheduling snapshot: the wire form of
 // core.Snapshot plus runner identity and progress counters. One GET
-// /runner/state carries everything a scheduling decision needs, so the
-// scheduler never issues per-decision CanAdmit/WorkingSet round-trips.
+// /runner/state carries everything a scheduling decision needs, so a
+// decision costs one round-trip.
 type State struct {
 	UUID string `json:"uuid"`
 	// Version is the engine's mutation counter (core.Snapshot.Version).
