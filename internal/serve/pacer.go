@@ -86,11 +86,14 @@ func (p *Pacer) Step(mu sync.Locker, latency time.Duration) {
 }
 
 // Sleep parks an idle driver for a simulated duration with mu released;
-// the schedule restarts from the wake.
+// the schedule restarts from the wake. Any positive d sleeps at least
+// 1 ns of wall time, even when its wall delay truncates to zero: a
+// driver idle until a wake that close would otherwise loop without
+// sleeping, and on a clock that moves only when slept on, forever.
 func (p *Pacer) Sleep(mu sync.Locker, d time.Duration) {
 	mu.Unlock()
-	if w := p.WallDelay(d); w > 0 {
-		p.sleep(w)
+	if d > 0 {
+		p.sleep(max(p.WallDelay(d), time.Nanosecond))
 	}
 	mu.Lock()
 	p.next = p.now()

@@ -175,3 +175,18 @@ func TestPacerRestartsAfterIdleness(t *testing.T) {
 		check(t, p, mu, clk)
 	})
 }
+
+// TestPacerSleepAdvancesTheClock: a simulated sleep shorter than one
+// wall nanosecond at this speedup still sleeps, so an idle driver whose
+// next wake is that close does not spin, and a clock that moves only
+// when slept on moves.
+func TestPacerSleepAdvancesTheClock(t *testing.T) {
+	p, clk, mu := newFakePacer(0)
+	p.Sleep(mu, 5*time.Nanosecond)
+	if len(clk.slept) != 1 || clk.slept[0] <= 0 {
+		t.Fatalf("Sleep(5ns) at speedup %d slept %v, want one positive sleep", pacerSpeedup, clk.slept)
+	}
+	if p.SimNow() <= 0 {
+		t.Fatalf("SimNow = %v after Sleep(5ns), want > 0", p.SimNow())
+	}
+}
