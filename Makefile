@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt check bench replay-profile experiments scale scale-baseline shuffle fuzz invariants soak bench-check traffic-baseline coldstart-baseline overload-baseline
+.PHONY: all build test race vet lint fmt check bench replay-profile experiments scale scale-baseline shuffle fuzz invariants soak bench-check traffic-baseline coldstart-baseline overload-baseline perfbench-smoke
 
 all: check
 
@@ -105,6 +105,20 @@ bench-check:
 	$(GO) run ./cmd/punica-bench -check bench/BENCH_traffic.json traffic
 	$(GO) run ./cmd/punica-bench -check bench/BENCH_coldstart.json coldstart
 	$(GO) run ./cmd/punica-bench -check bench/BENCH_overload.json overload
+
+# perfbench-smoke vets and builds the end-to-end benchmark (perfbench/,
+# its own module over this checkout), then runs each of its workloads
+# for 3 s. A run whose output check fails, or that does not finish,
+# fails the target.
+perfbench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
+	@for w in chat saturate sim-fleet; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		'{"correct":true'*) echo "perfbench $$w: correct" ;; \
+		*) echo "perfbench $$w: $$last"; exit 1 ;; \
+		esac; \
+	done
 
 # scale-baseline regenerates the committed baseline after intentional
 # performance changes.
